@@ -30,8 +30,6 @@ import time
 import pytest
 
 from repro import compile_source
-from repro.opt import clear_memo
-from repro.recompile import clear_lower_cache
 from repro.sched import affinity_worker
 from repro.serve import RecompileServer, ServeClient
 from repro.store import ArtifactStore
@@ -124,11 +122,9 @@ def test_bench_sched_concurrent_distinct_campaigns(benchmark, tmp_path):
                              "gcc12", "3", f"sched{m}")
               for m, b in VARIANTS]
     # Fork the pool before any job runs anywhere, so its workers cannot
-    # inherit warmth the serial phase builds in this process.
+    # inherit state the serial phase builds in this process.
     pool = _Daemon(tmp_path / "pool-store", workers=WORKERS)
     serial = _Daemon(tmp_path / "serial-store", workers=0)
-    clear_memo()
-    clear_lower_cache()
     try:
         start = time.perf_counter()
         serial_results = _submit_concurrently(serial.client, images)

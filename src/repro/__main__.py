@@ -96,15 +96,13 @@ def cmd_recompile(args) -> int:
                 from .store import ArtifactStore
                 result = incremental_recompile(
                     image, runs, ArtifactStore(args.store),
-                    jobs=args.jobs, check=args.check,
-                    opt_jobs=args.opt_jobs)
+                    jobs=args.jobs, check=args.check)
                 print(f"  store: served={result.stats.served} "
                       f"traces reused={result.stats.traces_reused} "
                       f"recorded={result.stats.traces_recorded}")
             else:
                 result = wytiwyg_recompile(image, runs, jobs=args.jobs,
-                                           check=args.check,
-                                           opt_jobs=args.opt_jobs)
+                                           check=args.check)
         except StaticCheckError as exc:
             print(f"static check gate aborted recompilation: {exc}",
                   file=sys.stderr)
@@ -132,8 +130,7 @@ def cmd_recompile(args) -> int:
 def cmd_serve(args) -> int:
     from .serve import RecompileServer
     server = RecompileServer(args.socket, store=args.store,
-                             jobs=args.jobs, opt_jobs=args.opt_jobs,
-                             workers=args.workers,
+                             jobs=args.jobs, workers=args.workers,
                              queue_depth=args.queue_depth,
                              job_timeout=args.job_timeout)
     pool = (f", workers={server.workers}" if server.workers else "")
@@ -212,7 +209,7 @@ def cmd_layout(args) -> int:
     image = BinaryImage.from_json(Path(args.image).read_text())
     runs = _parse_inputs(args.input)
     result = wytiwyg_recompile(image, runs, optimize=False,
-                               jobs=args.jobs, opt_jobs=args.opt_jobs)
+                               jobs=args.jobs)
     for name, layout in sorted(result.layouts.items()):
         if not layout.variables:
             continue
@@ -337,10 +334,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan replay sweeps out over N worker processes "
                         "(output is byte-identical to --jobs 1)")
-    p.add_argument("--opt-jobs", type=int, default=None, metavar="N",
-                   help="fan the optimizer's per-function visits over "
-                        "N worker processes (default $REPRO_OPT_JOBS; "
-                        "output is byte-identical to --opt-jobs 1)")
     p.add_argument("--check", nargs="?", const="1", default=None,
                    metavar="MODE",
                    help="arm the static check gate: error findings "
@@ -365,12 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan each job's replay sweeps over N worker "
                         "processes (the pool is shared across jobs)")
-    p.add_argument("--opt-jobs", type=int, default=None, metavar="N",
-                   help="fan each job's optimizer visits over N "
-                        "worker processes (default $REPRO_OPT_JOBS)")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="run jobs on a pool of N long-lived worker "
-                        "processes with warm-cache image affinity "
+                        "processes with image affinity "
                         "(default 0: jobs serialize in-process)")
     p.add_argument("--queue-depth", type=int, default=None, metavar="N",
                    help="bound the scheduler's job queue (default "
@@ -437,9 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--input", nargs="*", default=[])
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="fan replay sweeps out over N worker processes")
-    p.add_argument("--opt-jobs", type=int, default=None, metavar="N",
-                   help="fan canonicalization visits over N worker "
-                        "processes (default $REPRO_OPT_JOBS)")
     p.set_defaults(func=cmd_layout)
 
     p = sub.add_parser(

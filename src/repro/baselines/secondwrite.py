@@ -46,6 +46,7 @@ from ..lifting.function_recovery import recover_functions
 from ..lifting.translator import REG_ORDER, FunctionTranslator
 from ..opt.dce import eliminate_dead_code
 from ..opt.deadargelim import shrink_signatures
+from ..opt.manager import canonicalize_module
 from ..opt.pipeline import OptOptions, optimize_module
 from ..recompile.link import recompile_ir
 from ..recompile.lower import LowerOptions
@@ -395,8 +396,7 @@ def secondwrite_lift(image: BinaryImage,
 
     # Static refinements.
     apply_register_classification(module, classify_statically(module))
-    from ..core.driver import _canonicalize
-    _canonicalize(module)
+    canonicalize_module(module)
     report = split_frames_statically(module, stack_splitting)
     return module, report
 

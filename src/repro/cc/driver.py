@@ -14,13 +14,7 @@ from .personalities import Personality, personality
 
 def compile_to_ir(source: str, name: str = "minic",
                   config: Personality | None = None) -> Module:
-    """Parse, lower and optimize MiniC to IR under ``config``.
-
-    Optimization goes through the incremental pass manager
-    (:mod:`repro.opt.manager`), so compiling the same corpus repeatedly
-    under one personality — the test-suite and sweep pattern — reuses
-    fixpoints across modules via the cross-stage fingerprint memo.
-    """
+    """Parse, lower and optimize MiniC to IR under ``config``."""
     unit = parse(source)
     module = lower_to_ir(unit, name)
     verify_module(module)

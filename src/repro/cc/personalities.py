@@ -25,13 +25,7 @@ from ..recompile.lower import LowerOptions
 
 @dataclass(frozen=True)
 class Personality:
-    """A (compiler, optimization level) configuration.
-
-    ``opt`` doubles as part of the pass manager's cross-stage memo key
-    (:mod:`repro.opt.manager`), which is why it — like this class — must
-    stay a frozen (hashable) dataclass: two personalities with equal
-    ``OptOptions`` intentionally share memoized fixpoints.
-    """
+    """A (compiler, optimization level) configuration."""
 
     compiler: str
     opt_level: str

@@ -139,21 +139,11 @@ def module_stats(module: Module) -> dict[str, int]:
     }
 
 
-def _canonicalize(module: Module, opt_jobs: int | None = None) -> None:
-    """SSA-ify vcpu registers and fold address arithmetic (the paper's
-    "turn virtual CPU registers into SSA-values before instrumentation"
-    plus displacement folding).  Runs under the incremental pass
-    manager, so functions the preceding refinement stage left untouched
-    cost one version comparison instead of a full schedule."""
-    canonicalize_module(module, jobs=opt_jobs)
-
-
 def wytiwyg_lift(traces: TraceSet,
                  validate: bool = True,
                  hybrid: bool = False,
                  jobs: int = 1,
                  static_widen: bool | None = None,
-                 opt_jobs: int | None = None,
                  replay_pool=None,
                  ) -> tuple[Module, dict[str, FrameLayout],
                             list[str], CheckReport]:
@@ -175,13 +165,11 @@ def wytiwyg_lift(traces: TraceSet,
     best-effort instead of trapping.
 
     ``jobs > 1`` fans the validation sweeps and the instrumented bounds
-    runs out over a process pool; ``opt_jobs`` does the same for the
-    canonicalization stage's per-function visits (default:
-    ``$REPRO_OPT_JOBS``).  The symbolized module is byte-identical to a
-    serial run either way.  ``replay_pool`` lends the engine a caller-
-    owned :class:`~repro.parallel.ForkPool` (the long-lived serve
-    daemon shares one across requests); the engine then does not shut
-    it down on close.
+    runs out over a process pool.  The symbolized module is
+    byte-identical to a serial run either way.  ``replay_pool`` lends
+    the engine a caller-owned :class:`~repro.parallel.ForkPool` (the
+    long-lived serve daemon shares one across requests); the engine
+    then does not shut it down on close.
     """
     if not traces.inputs:
         raise CheckError(
@@ -191,7 +179,7 @@ def wytiwyg_lift(traces: TraceSet,
     engine = ReplayEngine(traces, jobs=jobs, pool=replay_pool)
     try:
         return _lift_with_engine(engine, traces, validate, hybrid,
-                                 static_widen, opt_jobs)
+                                 static_widen)
     finally:
         engine.close()
 
@@ -199,7 +187,6 @@ def wytiwyg_lift(traces: TraceSet,
 def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
                       validate: bool, hybrid: bool,
                       static_widen: bool | None,
-                      opt_jobs: int | None,
                       ) -> tuple[Module, dict[str, FrameLayout],
                                  list[str], CheckReport]:
     static_widen = _resolve_static_widen(static_widen)
@@ -261,10 +248,12 @@ def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
         f"regsave: {len(classification.args)} functions classified, "
         f"{len(classification.indirect_targets)} indirect targets")
 
-    # Canonicalize and identify direct stack references.
+    # Canonicalize (the paper's "turn virtual CPU registers into
+    # SSA-values before instrumentation" plus displacement folding) and
+    # identify direct stack references.
     with obs.span("stage.canonicalize") as sp:
         before = module_stats(module) if observing else None
-        _canonicalize(module, opt_jobs)
+        canonicalize_module(module)
         refs = fold_module_stack_refs(module)
         if before is not None:
             sp.set(ir_before=before, ir_after=module_stats(module),
@@ -408,7 +397,6 @@ def wytiwyg_recompile(image: BinaryImage,
                       jobs: int = 1,
                       check: bool | str | None = None,
                       static_widen: bool | None = None,
-                      opt_jobs: int | None = None,
                       replay_pool=None) -> WytiwygResult:
     """End-to-end WYTIWYG: trace, refine, symbolize, optimize,
     recompile.  Falls back to the unsymbolized (BinRec) pipeline if
@@ -417,9 +405,7 @@ def wytiwyg_recompile(image: BinaryImage,
     Pass ``traces`` (a TraceSet of ``image`` over ``inputs``) to reuse
     an existing or cached trace instead of re-executing the binary.
     ``jobs`` fans validation and bounds replay out over that many
-    worker processes; ``opt_jobs`` (default ``$REPRO_OPT_JOBS``) fans
-    the optimizer's per-function visits the same way.  The result is
-    byte-identical to ``jobs=1`` / ``opt_jobs=1``.
+    worker processes.  The result is byte-identical to ``jobs=1``.
 
     ``check`` (default: ``$REPRO_CHECK``) arms the static gate: with a
     truthy value, ``error``-severity findings abort the pipeline with
@@ -444,8 +430,7 @@ def wytiwyg_recompile(image: BinaryImage,
         try:
             module, layouts, notes, report = wytiwyg_lift(
                 traces, hybrid=hybrid, jobs=jobs,
-                static_widen=static_widen, opt_jobs=opt_jobs,
-                replay_pool=replay_pool)
+                static_widen=static_widen, replay_pool=replay_pool)
             fallback = False
         except SymbolizeError as exc:
             if not allow_fallback:
@@ -477,7 +462,7 @@ def wytiwyg_recompile(image: BinaryImage,
         with obs.span("stage.optimize", enabled=optimize) as sp:
             before = module_stats(module) if observing else None
             if optimize:
-                optimize_module(module, OptOptions.o3(), jobs=opt_jobs)
+                optimize_module(module, OptOptions.o3())
                 verify_module(module)
             if before is not None:
                 sp.set(ir_before=before, ir_after=module_stats(module),

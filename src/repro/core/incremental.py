@@ -9,7 +9,7 @@ artifact lands in a content-addressed
 :class:`~repro.store.ArtifactStore`, and a repeated request pays only
 for what actually changed.
 
-Three layers of reuse, cheapest first:
+Two layers of reuse, cheapest first:
 
 1. **Result hit** — the final recompiled image is keyed on
    ``(image content, ordered input runs, options)``; an identical
@@ -21,15 +21,9 @@ Three layers of reuse, cheapest first:
    reconstructs exactly the TraceSet :func:`~repro.emu.tracer.
    trace_binary` would produce.  Adding one input to a known image
    re-executes only that input; everything else is a ``store.hit``.
-3. **Per-function refinement reuse** — the lifted module is optimized
-   under the incremental pass manager (:mod:`repro.opt.manager`) and
-   lowered through the fingerprint-keyed cache
-   (:mod:`repro.recompile.lower`).  In a long-lived server process
-   those memos stay warm across requests, so after an input addition
-   only the functions whose
-   :func:`~repro.replay.fingerprint.function_fingerprint` moved are
-   re-refined (``opt.manager.skipped`` / ``opt.manager.memo_hits``
-   count the rest).
+
+Everything after tracing (lift, refinement, optimization, lowering)
+runs cold on every request that misses the result store.
 
 Byte-identity invariant: for any request, the recovered image equals
 the one a cold ``wytiwyg_recompile(image, inputs)`` produces — the
@@ -55,20 +49,7 @@ from ..store import (
 from .driver import WytiwygResult, wytiwyg_recompile
 
 __all__ = ["JobStats", "ServedResult", "gather_traces",
-           "incremental_recompile", "pipeline_options_tag",
-           "warm_stats"]
-
-
-def warm_stats() -> dict:
-    """Snapshot of this process's warm incremental state: the
-    optimizer's cross-stage fingerprint memo and the lowering cache.
-    In the single-process daemon these belong to the daemon itself; in
-    scheduler mode (:mod:`repro.sched`) each worker process reports its
-    own via the job-result payload, because the warm state lives
-    per-worker, not in the parent."""
-    from ..opt.manager import memo_stats
-    from ..recompile.lower import lower_cache_stats
-    return {"opt": memo_stats(), "lower": lower_cache_stats()}
+           "incremental_recompile", "pipeline_options_tag"]
 
 
 @dataclass
@@ -118,10 +99,9 @@ def pipeline_options_tag(optimize: bool = True,
                          hybrid: bool = False) -> str:
     """The options part of a result key.
 
-    Only options that change the *artifact* participate; execution
-    knobs (``jobs``, ``opt_jobs``) are byte-identity-neutral by the
-    PR 3/6 contracts and deliberately excluded, so a parallel server
-    and a serial one share entries.
+    Only options that change the *artifact* participate; the execution
+    knob ``jobs`` is byte-identity-neutral and deliberately excluded,
+    so a parallel server and a serial one share entries.
     """
     return options_tag(optimize=optimize, check=check,
                        static_widen=static_widen, hybrid=hybrid)
@@ -166,7 +146,6 @@ def incremental_recompile(image: BinaryImage,
                           static_widen: bool | None = None,
                           hybrid: bool = False,
                           jobs: int = 1,
-                          opt_jobs: int | None = None,
                           replay_pool=None,
                           collect_accuracy: bool = True) -> ServedResult:
     """Store-backed ``wytiwyg_recompile``: same answer, amortized cost.
@@ -209,8 +188,7 @@ def incremental_recompile(image: BinaryImage,
         image, [list(items) for items in runs],
         optimize=optimize, collect_accuracy=collect_accuracy,
         hybrid=hybrid, traces=traces, jobs=jobs, check=check,
-        static_widen=static_widen, opt_jobs=opt_jobs,
-        replay_pool=replay_pool)
+        static_widen=static_widen, replay_pool=replay_pool)
     coverage = _coverage_summary(traces)
     store.put("result", rkey, {
         "image_json": result.recovered.to_json(),

@@ -18,12 +18,9 @@ every pipeline layer:
 * the **IR interpreter** reports compiled-closure cache invalidations
   and per-function execution counts;
 * the **optimizer** reports per-pass instruction deltas and timings
-  (the two CFG-simplification slots appear as ``opt.pass.
-  simplifycfg.entry`` / ``.exit``); its worklist manager additionally
-  counts functions it proved unchanged (``opt.manager.skipped``,
-  ``opt.manager.memo_hits``), functions re-enqueued after inlining
-  (``opt.manager.requeued``), and analysis results migrated across
-  mutations instead of recomputed (``analysis.cache.retained``);
+  (``opt.pass.<name>`` timers, ``.runs`` / ``.instrs_removed``
+  counters) and CFG-analysis cache hits/misses
+  (``analysis.cache.{hits,misses}``);
 * the **evaluation harness** and ``EvalCache`` report cache hit rates
   and per-cell timings, aggregated across ``sweep(jobs=N)`` workers.
 

@@ -3,9 +3,9 @@
 The metrics registry (:mod:`.metrics`) answers "how much / how long";
 the ledger answers "what happened, in what order, and why".  Every
 pipeline layer emits typed events — stage boundaries, trace merges,
-frame-variable construction steps, corroboration findings, cache hits
-and invalidations, pool lifecycle, validation verdicts — and the ledger
-records them durably enough that a later run (or the ``repro explain``
+frame-variable construction steps, corroboration findings, store
+hits, pool lifecycle, validation verdicts — and the ledger records them
+durably enough that a later run (or the ``repro explain``
 provenance query) can reconstruct *why* a recovered fact looks the way
 it does.
 
@@ -21,7 +21,7 @@ Design:
 * **process-safe** — file-backed ledgers write each line with a single
   ``os.write`` on an ``O_APPEND`` descriptor, which POSIX keeps atomic
   for writes below ``PIPE_BUF``: forked sweep workers (replay pool,
-  optimizer pool, evaluation sweep) inherit the descriptor and append
+  evaluation sweep) inherit the descriptor and append
   concurrently without interleaving lines.  A per-process ``pid`` field
   plus a per-process ``seq`` counter give every event a stable identity
   and a total order per writer (file order gives the global
@@ -82,10 +82,6 @@ EVENT_KINDS = frozenset({
     "sanalysis.summary",
     "sanalysis.escape",
     "sanalysis.extern",
-    # caches
-    "cache.hit",
-    "cache.miss",
-    "cache.invalidation",
     # artifact store (repro.store)
     "store.hit",
     "store.miss",
@@ -100,10 +96,6 @@ EVENT_KINDS = frozenset({
     "sched.dispatch",
     "sched.steal",
     "sched.reject",
-    # optimizer manager
-    "opt.memo_hit",
-    "opt.skip",
-    "opt.requeue",
     # process pools
     "pool.spawn",
     "pool.reuse",

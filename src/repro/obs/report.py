@@ -62,9 +62,7 @@ def _fmt_delta(attrs: dict) -> str:
 #: Counter prefixes grouped into labeled stderr-summary sections so
 #: cache/pool behaviour is readable at a glance.
 COUNTER_SECTIONS = (
-    ("lowering cache", "lower.cache."),
     ("fork pool", "parallel.pool."),
-    ("pass manager", "opt.manager."),
     ("artifact store", "store."),
     ("serve", "serve."),
 )
@@ -82,11 +80,6 @@ def _counter_sections(counters: dict) -> list[str]:
         width = max(len(short) for short, _ in rows)
         for short, n in rows:
             lines.append(f"  {short:<{width}}  {n:>10,}")
-        hits = counters.get(prefix + "hits")
-        misses = counters.get(prefix + "misses")
-        if hits is not None and misses is not None and hits + misses:
-            lines.append(f"  {'hit rate':<{width}}  "
-                         f"{hits / (hits + misses):>10.2%}")
     return lines
 
 
@@ -116,7 +109,10 @@ def summary(doc: dict) -> str:
         if not name.startswith("stage."):
             continue
         attrs = span.get("attrs", {})
-        status = "ERROR" if "error" in attrs else \
+        # A raised exception leaves its message string in ``error``
+        # (see spans.py); sanalysis/sanitize store an integer finding
+        # count under the same key.
+        status = "ERROR" if isinstance(attrs.get("error"), str) else \
             ("ok" if attrs.get("verified") else "")
         stage_rows.append((name[len("stage."):],
                            span.get("seconds", 0.0) * 1e3,

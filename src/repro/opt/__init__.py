@@ -22,23 +22,11 @@ from .deadargelim import (
 from .dse import eliminate_dead_stores
 from .flagfuse import fuse_flags
 from .gvn import eliminate_redundant_loads, global_value_numbering
-from .inline import (
-    inline_call,
-    inline_functions,
-    inline_functions_tracked,
-    inline_would_change,
-)
+from .inline import inline_call, inline_functions
 from .manager import (
-    PassManager,
     canonicalize_module,
     clear_memo,
-    close_opt_pool,
     drop_unused_private_functions,
-    memo_enabled,
-    memo_stats,
-    opt_jobs_default,
-    pass_baseline_enabled,
-    run_worklist,
 )
 from .mem2reg import promotable_allocas, promote_allocas
 from .pipeline import (
@@ -49,18 +37,16 @@ from .pipeline import (
 from .simplifycfg import remove_unreachable, simplify_cfg
 
 __all__ = [
-    "AliasAnalysis", "Dominators", "OptOptions", "PassManager",
+    "AliasAnalysis", "Dominators", "OptOptions",
     "analysis_cache_enabled", "cached_analysis", "canonicalize_module",
-    "clear_memo", "close_opt_pool", "dominators",
+    "clear_memo", "dominators",
     "drop_unused_private_functions", "eliminate_dead_code",
     "eliminate_dead_params", "eliminate_dead_results",
     "eliminate_dead_stores", "eliminate_redundant_loads",
     "fold_constants", "fuse_flags", "global_value_numbering", "inline_call",
-    "inline_functions", "inline_functions_tracked", "inline_would_change",
-    "memo_enabled", "memo_stats", "opt_jobs_default", "optimize_function",
-    "optimize_module", "pass_baseline_enabled",
+    "inline_functions", "optimize_function", "optimize_module",
     "postorder", "predecessors", "promotable_allocas", "promote_allocas",
     "reachable", "reachable_blocks", "remove_unreachable",
-    "run_worklist", "shrink_signatures", "simplify_cfg",
+    "shrink_signatures", "simplify_cfg",
     "use_counts",
 ]

@@ -13,13 +13,6 @@ fixed-point round) consults these accessors — the builder API
 automatically, direct splices do not.  Callers must treat the returned
 objects as immutable.  Set ``REPRO_ANALYSIS_CACHE=0`` to disable caching
 (every call recomputes), e.g. to bisect a suspected stale-analysis bug.
-
-Invalidation is *selective* when the mutation's author can vouch for
-what it left intact: a pass that only rewrites non-terminator
-instructions declares ``PRESERVES = CFG_ANALYSES`` and the pass manager
-calls :func:`retain_analyses` after it, migrating the cached CFG
-results to the new epoch instead of recomputing them
-(``analysis.cache.retained`` counts the saves).
 """
 
 from __future__ import annotations
@@ -34,14 +27,6 @@ from ..ir.values import Instr, Value
 _CACHE_ENABLED = os.environ.get("REPRO_ANALYSIS_CACHE", "1") \
     not in ("0", "false", "off")
 
-#: The analyses this module caches.  All of them are pure CFG analyses:
-#: they depend only on the block list and terminator targets, never on
-#: non-terminator instructions — which is what makes the selective
-#: invalidation of :func:`retain_analyses` sound for passes that rewrite
-#: instructions without touching control flow.
-CFG_ANALYSES = frozenset({"dominators", "predecessors", "reachable",
-                          "loop_headers"})
-
 #: func -> (epoch, {analysis name -> result}); weak so retired modules
 #: free their analyses.
 _CACHE: "weakref.WeakKeyDictionary[Function, tuple]" = \
@@ -55,50 +40,6 @@ def analysis_cache_enabled() -> bool:
 def _epoch(func: Function) -> tuple[int, int, int]:
     return (func.version, len(func.blocks),
             sum(len(b.instrs) for b in func.blocks))
-
-
-def current_epoch(func: Function) -> tuple[int, int, int]:
-    """The function's cache epoch.  The pass manager snapshots this
-    before running a pass so :func:`retain_analyses` can migrate
-    preserved results across the pass's mutations."""
-    return _epoch(func)
-
-
-def retain_analyses(func: Function, names: frozenset,
-                    prior_epoch: tuple[int, int, int]) -> bool:
-    """Selective invalidation: carry the named analyses across a
-    mutation instead of discarding the whole cache entry.
-
-    Called by the pass manager after a pass that *declared* it preserves
-    ``names`` reported a change: the results cached at ``prior_epoch``
-    (snapshotted via :func:`current_epoch` before the pass ran) are
-    re-keyed to the function's new epoch, so the next consumer hits
-    instead of recomputing.  The declaration is the contract — a pass
-    that claims to preserve an analysis it invalidates will be served
-    stale results — but since every cached analysis is a CFG analysis
-    (:data:`CFG_ANALYSES`), a block-count change is proof the claim is
-    wrong for this run and nothing is retained (the safety net that
-    makes ``remove_unreachable`` calls inside mem2reg/GVN harmless).
-
-    Returns True when at least one analysis survived the migration.
-    """
-    if not _CACHE_ENABLED or not names:
-        return False
-    entry = _CACHE.get(func)
-    if entry is None or entry[0] != prior_epoch:
-        return False
-    epoch = _epoch(func)
-    if epoch == prior_epoch:
-        return False           # no mutation actually landed
-    if epoch[1] != prior_epoch[1]:
-        return False           # block count changed: CFG claims void
-    kept = {name: result for name, result in entry[1].items()
-            if name in names}
-    _CACHE[func] = (epoch, kept)
-    if not kept:
-        return False
-    obs.count("analysis.cache.retained", len(kept))
-    return True
 
 
 def cached_analysis(func: Function, name: str, build):

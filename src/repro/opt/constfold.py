@@ -10,11 +10,6 @@ from __future__ import annotations
 
 from ..ir.module import Function
 from ..ir.values import BinOp, Const, ICmp, Instr, Unary, Value
-from .analysis import CFG_ANALYSES
-
-#: Folding replaces and rewrites pure instructions in place; terminators
-#: and the block list are never touched, so cached CFG analyses survive.
-PRESERVES = CFG_ANALYSES
 
 MASK32 = 0xFFFFFFFF
 

@@ -21,12 +21,6 @@ from ..ir.values import (
     Unary,
 )
 
-from .analysis import CFG_ANALYSES
-
-#: DCE deletes pure, rootless instructions; terminators are always roots
-#: and the block list is untouched, so cached CFG analyses survive.
-PRESERVES = CFG_ANALYSES
-
 #: Pure instruction classes (loads are pure in this IR: no volatile).
 _PURE = (BinOp, ICmp, Unary, Phi, Result, Load, Alloca)
 

@@ -14,13 +14,7 @@ from __future__ import annotations
 from ..ir.module import Function, Module
 from ..ir.values import Call, CallInd, FuncRef, Instr, Param, \
     Result, Ret
-from .analysis import CFG_ANALYSES
 from .dce import eliminate_dead_code
-
-#: Signature shrinking rewrites rets, calls, and params in place and
-#: sweeps dead pure instructions; the CFG shape of every function is
-#: untouched.
-PRESERVES = CFG_ANALYSES
 
 
 def _protected_functions(module: Module) -> set[str]:

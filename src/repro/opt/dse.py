@@ -22,10 +22,6 @@ from ..ir.values import (
     Store,
 )
 from .alias import AliasAnalysis
-from .analysis import CFG_ANALYSES
-
-#: Dead-store removal deletes stores only; control flow is untouched.
-PRESERVES = CFG_ANALYSES
 
 
 def eliminate_dead_stores(func: Function,

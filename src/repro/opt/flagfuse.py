@@ -18,11 +18,6 @@ from __future__ import annotations
 
 from ..ir.module import Function
 from ..ir.values import BinOp, Const, ICmp, Instr, Unary, Value
-from .analysis import CFG_ANALYSES
-
-#: Fusion substitutes comparison trees instruction-for-instruction; the
-#: block list and terminator targets are untouched.
-PRESERVES = CFG_ANALYSES
 
 _INVERT = {
     "eq": "ne", "ne": "eq", "slt": "sge", "sge": "slt", "sle": "sgt",

@@ -26,14 +26,8 @@ from ..ir.values import (
     Value,
 )
 from .alias import AliasAnalysis
-from .analysis import CFG_ANALYSES, dominators
+from .analysis import dominators
 from .simplifycfg import remove_unreachable
-
-#: Both passes here delete or substitute pure instructions and loads;
-#: neither adds, removes, or retargets blocks (GVN's entry
-#: ``remove_unreachable`` changes the block count when it fires, which
-#: voids retention on its own), so cached CFG analyses survive.
-PRESERVES = CFG_ANALYSES
 
 _COMMUTATIVE = frozenset({"add", "mul", "and", "or", "xor"})
 

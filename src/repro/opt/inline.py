@@ -30,9 +30,6 @@ from ..ir.values import (
     Value,
 )
 
-#: Inlining splices whole cloned CFGs into callers: nothing is preserved.
-PRESERVES: frozenset = frozenset()
-
 
 def _clone_instr(instr: Instr) -> Instr:
     """Shallow structural clone; operands/blocks fixed up by the caller."""
@@ -217,25 +214,10 @@ def inline_functions(module: Module, max_callee_size: int = 40,
                      always_single_use: bool = True,
                      growth_budget: int = 4000) -> bool:
     """Module-level inlining driver. Returns True if anything changed."""
-    return bool(inline_functions_tracked(
-        module, max_callee_size=max_callee_size,
-        always_single_use=always_single_use,
-        growth_budget=growth_budget))
-
-
-def inline_functions_tracked(module: Module, max_callee_size: int = 40,
-                             always_single_use: bool = True,
-                             growth_budget: int = 4000) -> set[str]:
-    """:func:`inline_functions`, reporting *which* callers changed.
-
-    Returns the names of the functions that actually received inlined
-    code — the only functions the pass manager needs to re-enqueue
-    afterwards (callees are cloned, not mutated).
-    """
     call_counts = _call_counts(module)
     # Functions whose address is taken cannot be dropped and their call
     # count is unreliable; still inlinable at direct sites.
-    changed: set[str] = set()
+    changed = False
     for func in list(module.functions.values()):
         budget = growth_budget
         again = True
@@ -250,7 +232,7 @@ def inline_functions_tracked(module: Module, max_callee_size: int = 40,
                                   max_callee_size, always_single_use,
                                   growth_budget):
                         inline_call(func, instr, callee)
-                        changed.add(func.name)
+                        changed = True
                         budget -= _size_of(callee)
                         call_counts[callee.name] = \
                             call_counts.get(callee.name, 1) - 1
@@ -264,26 +246,6 @@ def inline_functions_tracked(module: Module, max_callee_size: int = 40,
                 if again:
                     break
     return changed
-
-
-def inline_would_change(module: Module, max_callee_size: int = 40,
-                        always_single_use: bool = True,
-                        growth_budget: int = 4000) -> bool:
-    """Dry-run: would :func:`inline_functions` inline anything?
-
-    True iff some direct call site passes the same admission test the
-    real driver applies to its first candidate.  The pass manager uses
-    this to prove a whole module is at fixpoint (no candidate now means
-    the real driver would be a no-op)."""
-    call_counts = _call_counts(module)
-    for func in module.functions.values():
-        for instr in func.instructions():
-            if isinstance(instr, Call) and _inlinable(
-                    func, module.functions.get(instr.callee.name),
-                    call_counts, max_callee_size, always_single_use,
-                    growth_budget):
-                return True
-    return False
 
 
 def _call_counts(module: Module) -> dict[str, int]:

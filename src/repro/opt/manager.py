@@ -1,637 +1,36 @@
-"""Incremental worklist pass manager.
+"""Module-level drivers around the fixed pass schedule.
 
-The LLVM-new-pass-manager analogue for this IR: instead of re-running a
-fixed schedule on every function of every module at every pipeline
-stage, the manager tracks what is already done and skips it.
-
-Three layers of change tracking, cheapest first:
-
-1. **Module snapshot** — after a run in which every function reached
-   fixpoint and inlining had nothing left to do, the manager records
-   ``(name, version)`` for every function.  A later call over an
-   unchanged module returns immediately (the common shape when a
-   refinement stage turned out to be a no-op).
-2. **Version skip** — a function whose
-   :attr:`~repro.ir.module.Function.version` is unchanged since it last
-   reached fixpoint under the same schedule is skipped without looking
-   at its body.
-3. **Cross-stage memo** — keyed on ``(schedule, module context,``
-   :func:`~repro.replay.fingerprint.function_fingerprint```)``: a
-   *fresh object* (a deep copy, a re-lift, another module) whose content
-   matches a known fixpoint is skipped too.  Only fixpoints enter the
-   memo — a function that was still changing when the round budget ran
-   out is never memoized, whether it was visited serially or by a pool
-   worker.  The module context folds in the global-variable layout
-   because alias-driven passes consult it.
-
-Functions that survive all three layers are *visited*: the per-round
-schedule runs to fixpoint (or the round budget).  Visits between inline
-stages are independent per function — every per-function pass reads at
-most the module's global-variable layout, never another function's body
-— so with ``jobs > 1`` they fan out over the shared fork pool
-(:class:`repro.parallel.ForkPool`).  Workers inherit the module over
-``fork``, re-optimize their function, and ship it back pickled; the
-parent installs results in worklist order and keeps all bookkeeping
-(fixpoint records, memo inserts) on its side, so ``jobs=N`` output is
-byte-identical to serial.  ``REPRO_OPT_JOBS`` sets the default fan-out
-(CLI: ``--opt-jobs``).  Pools are keyed on the module's content
-fingerprint and reused across batches while it is unchanged.
-
-Each pass is registered with a **preserved-analyses declaration**
-(``PRESERVES`` in its module): when a pass reports a change, the
-declared analyses are migrated across the mutation epoch by
-:func:`repro.opt.analysis.retain_analyses` instead of being recomputed.
-
-After :func:`~repro.opt.inline.inline_functions` the manager re-enqueues
-**only the callers that actually received inlined code** (plus any
-function that had not yet reached fixpoint) — the legacy schedule
-re-optimized the whole module.
-
-``REPRO_PASS_BASELINE=1`` restores the legacy fixed schedule
-(:mod:`repro.opt.pipeline` keeps it verbatim); the worklist engine's
-output is byte-identical to it, which ``tests/opt/test_pass_manager.py``
-asserts differentially.  ``REPRO_OPT_MEMO=0`` disables only the
-cross-stage memo (layers 1–2 still apply), e.g. for cold-path benches.
-
-Observability: per-pass timers/counters keep the legacy
-``opt.pass.<name>`` naming, with the two CFG-simplification slots split
-as ``simplifycfg.entry`` / ``simplifycfg.exit``; the manager itself
-reports ``opt.manager.skipped`` (functions not re-optimized),
-``opt.manager.requeued`` (functions re-enqueued after inlining), and
-``opt.manager.parallel_visits`` (functions optimized by pool workers);
-worker pass metrics merge into the parent recorder.
+:func:`canonicalize_module` is the recompiler's canonicalization stage,
+:func:`drop_unused_private_functions` the post-inlining sweep that closes
+:func:`repro.opt.pipeline.optimize_module`, and :func:`clear_memo` drops
+the only optimizer state that outlives a call (the CFG-analysis cache of
+:mod:`repro.opt.analysis`).
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
-import time
-from collections import OrderedDict
-from concurrent.futures import as_completed
-from weakref import WeakKeyDictionary
-
-from .. import obs
-from ..ir.module import Function, Module
-from ..obs import recorder as _obs_recorder
-from ..parallel import ForkPool, worker_ctx
-from . import (
-    constfold,
-    dce,
-    dse,
-    flagfuse,
-    gvn,
-    inline,
-    mem2reg,
-    simplifycfg,
-)
-from .analysis import current_epoch, retain_analyses
-
-
-def function_fingerprint(func: Function) -> str:
-    """Deferred alias for
-    :func:`repro.replay.fingerprint.function_fingerprint` — importing
-    :mod:`repro.replay` eagerly would close an import cycle through
-    the replay engine's runtime dependencies."""
-    from ..replay.fingerprint import function_fingerprint as fp
-    globals()["function_fingerprint"] = fp
-    return fp(func)
-
-
-def pass_baseline_enabled() -> bool:
-    """``REPRO_PASS_BASELINE=1`` restores the legacy fixed schedule."""
-    return os.environ.get("REPRO_PASS_BASELINE", "") not in ("", "0")
-
-
-def memo_enabled() -> bool:
-    """``REPRO_OPT_MEMO=0`` disables the cross-stage fingerprint memo."""
-    return os.environ.get("REPRO_OPT_MEMO", "1") not in ("0", "false",
-                                                         "off")
-
-
-def opt_jobs_default() -> int:
-    """The default worklist fan-out (``REPRO_OPT_JOBS``, else serial)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_OPT_JOBS", "1") or "1"))
-    except ValueError:
-        return 1
-
-
-def _resolve_jobs(jobs: int | None) -> int:
-    return opt_jobs_default() if jobs is None else max(1, int(jobs))
-
-
-class FunctionPass:
-    """A named per-function pass with its preserved-analyses contract."""
-
-    __slots__ = ("name", "run", "preserves")
-
-    def __init__(self, name: str, run, preserves: frozenset):
-        self.name = name
-        self.run = run
-        self.preserves = preserves
-
-    def __repr__(self) -> str:
-        return f"<pass {self.name}>"
-
-
-def build_function_pipeline(opts, module: Module) -> list[FunctionPass]:
-    """The standard per-round schedule (mirrors the legacy
-    ``pipeline._function_passes``), with the two ``simplifycfg`` slots
-    distinguished for per-pass accounting."""
-    passes = [
-        FunctionPass("simplifycfg.entry", simplifycfg.simplify_cfg,
-                     simplifycfg.PRESERVES),
-        FunctionPass("mem2reg", mem2reg.promote_allocas,
-                     mem2reg.PRESERVES),
-        FunctionPass("constfold", constfold.fold_constants,
-                     constfold.PRESERVES),
-        FunctionPass("flagfuse", flagfuse.fuse_flags,
-                     flagfuse.PRESERVES),
-    ]
-    if opts.gvn:
-        passes.append(FunctionPass("gvn", gvn.global_value_numbering,
-                                   gvn.PRESERVES))
-    if opts.load_elim:
-        passes.append(FunctionPass(
-            "loadelim",
-            lambda f: gvn.eliminate_redundant_loads(f, module),
-            gvn.PRESERVES))
-    if opts.dse:
-        passes.append(FunctionPass(
-            "dse", lambda f: dse.eliminate_dead_stores(f, module),
-            dse.PRESERVES))
-    passes.append(FunctionPass("dce", dce.eliminate_dead_code,
-                               dce.PRESERVES))
-    passes.append(FunctionPass("simplifycfg.exit",
-                               simplifycfg.simplify_cfg,
-                               simplifycfg.PRESERVES))
-    return passes
-
-
-def build_canonicalize_pipeline(module: Module) -> list[FunctionPass]:
-    """The driver's canonicalization schedule (one round, in order)."""
-    return [
-        FunctionPass("simplifycfg.entry", simplifycfg.simplify_cfg,
-                     simplifycfg.PRESERVES),
-        FunctionPass("mem2reg", mem2reg.promote_allocas,
-                     mem2reg.PRESERVES),
-        FunctionPass("constfold", constfold.fold_constants,
-                     constfold.PRESERVES),
-        FunctionPass("flagfuse", flagfuse.fuse_flags,
-                     flagfuse.PRESERVES),
-        FunctionPass("constfold.late", constfold.fold_constants,
-                     constfold.PRESERVES),
-        FunctionPass("gvn", gvn.global_value_numbering, gvn.PRESERVES),
-        FunctionPass("dce", dce.eliminate_dead_code, dce.PRESERVES),
-        FunctionPass("simplifycfg.exit", simplifycfg.simplify_cfg,
-                     simplifycfg.PRESERVES),
-    ]
-
-
-def _passes_for_schedule(schedule_key: tuple,
-                         module: Module) -> list[FunctionPass] | None:
-    """Rebuild a known schedule from its key (pool workers do this from
-    the picklable key instead of receiving closures).  None for custom
-    schedules, which therefore run serially."""
-    if schedule_key and schedule_key[0] == "opt":
-        return build_function_pipeline(schedule_key[1], module)
-    if schedule_key and schedule_key[0] == "canonicalize":
-        return build_canonicalize_pipeline(module)
-    return None
-
-
-# -- change-tracking state ----------------------------------------------
-
-#: Cross-stage memo of known fixpoints:
-#: ((schedule key, module context), function fingerprint) -> True.
-#: Bounded LRU; entries are only ever *fixpoints*, so a hit is a proof
-#: that running the schedule again would change nothing.
-_MEMO: "OrderedDict[tuple, bool]" = OrderedDict()
-_MEMO_MAX = 4096
-
-#: func -> {(schedule key, module context) -> version at last fixpoint}.
-_FIXPOINT: "WeakKeyDictionary[Function, dict]" = WeakKeyDictionary()
-
-#: module -> {(schedule key, module context) -> (name, version) snapshot
-#: taken after a fully-converged run (fixpoint everywhere, no inlining
-#: left)}.
-_MODULE_STATE: "WeakKeyDictionary[Module, dict]" = WeakKeyDictionary()
+from ..ir.module import Module
+from . import constfold, dce, flagfuse, gvn, mem2reg, simplifycfg
+from .analysis import _CACHE
 
 
 def clear_memo() -> None:
-    """Drop all cross-call change-tracking state (tests and benches)."""
-    _MEMO.clear()
-    _FIXPOINT.clear()
-    _MODULE_STATE.clear()
+    """Drop the cached CFG analyses (cold-path benches and tests)."""
+    _CACHE.clear()
 
 
-def memo_stats() -> dict:
-    """Size of the in-process change-tracking state — the warmth a
-    long-lived server has accumulated (reported by ``repro submit
-    --status``)."""
-    return {"memo_entries": len(_MEMO),
-            "fixpoint_functions": len(_FIXPOINT),
-            "module_snapshots": len(_MODULE_STATE)}
-
-
-def _memo_get(key: tuple) -> bool:
-    hit = _MEMO.get(key, False)
-    if hit:
-        _MEMO.move_to_end(key)
-    return hit
-
-
-def _memo_add(key: tuple) -> None:
-    _MEMO[key] = True
-    _MEMO.move_to_end(key)
-    while len(_MEMO) > _MEMO_MAX:
-        _MEMO.popitem(last=False)
-
-
-def _module_context(module: Module) -> tuple:
-    """The module-level facts a per-function schedule can observe:
-    global-variable layout (alias analysis reads sizes and pinned
-    addresses).  Part of every memo key."""
-    return tuple(sorted(
-        (name, g.size, g.align, g.fixed_addr, g.writable)
-        for name, g in module.globals.items()))
-
-
-# -- fork-pool plumbing --------------------------------------------------
-
-#: The optimizer's shared fork pool; lives across ``optimize_module``
-#: calls so consecutive stages over an unchanged module reuse workers.
-_POOL: ForkPool | None = None
-
-
-def close_opt_pool() -> None:
-    """Release the optimizer's worker pool (tests, benches, shutdown)."""
-    global _POOL
-    if _POOL is not None:
-        _POOL.close()
-        _POOL = None
-
-
-def _acquire_opt_pool(jobs: int, module: Module, observe: bool,
-                      ntasks: int):
-    global _POOL
-    if _POOL is None or _POOL.jobs != jobs:
-        close_opt_pool()
-        _POOL = ForkPool(jobs)
-    from ..replay.fingerprint import module_fingerprint
-    key = ("opt", module_fingerprint(module), observe)
-    return _POOL.acquire(key, (module, observe), ntasks)
-
-
-def _invalidate_opt_pool(cancel: bool = False) -> None:
-    if _POOL is not None:
-        _POOL.invalidate(cancel=cancel)
-
-
-#: Pickling an IR function crosses a deep cyclic graph; the default
-#: recursion limit can be too tight for long straight-line blocks.
-_PICKLE_RECURSION = 100_000
-
-
-def _dumps_function(func: Function) -> bytes:
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, _PICKLE_RECURSION))
-    try:
-        return pickle.dumps(func, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _loads_function(blob: bytes) -> Function:
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, _PICKLE_RECURSION))
-    try:
-        return pickle.loads(blob)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _opt_worker(task):
-    """Pool-worker entry: re-optimize one inherited function.
-
-    ``task`` is ``(name, schedule_key, rounds)`` — small and picklable;
-    the module arrives via fork inheritance.  Returns ``(name, fixed,
-    changed_any, fingerprint-or-None, pickled-function-or-None,
-    obs payload)``.  The parent owns all memo/fixpoint bookkeeping: a
-    worker only ever reports, so a function still changing when the
-    round budget ran out (``fixed=False``) can never leak a partial
-    result into the memo.
-    """
-    name, schedule_key, rounds = task
-    module, observe = worker_ctx()
-    if observe:
-        obs.enable(reset=True)
-    obs.fork_begin()
-    rec = _obs_recorder()
-    func = module.functions[name]
-    passes = _passes_for_schedule(schedule_key, module)
-    fixed, changed_any = _run_rounds(func, passes, rounds, rec)
-    fp = function_fingerprint(func) if fixed else None
-    blob = _dumps_function(func) if changed_any else None
-    return (name, fixed, changed_any, fp, blob,
-            obs.export_payload() if observe else None)
-
-
-# -- pass execution ------------------------------------------------------
-
-def _run_pass(p: FunctionPass, func: Function, rec) -> bool:
-    prior = current_epoch(func) if p.preserves else None
-    if rec is None:
-        changed = p.run(func)
-    else:
-        registry = rec.registry
-        before = _ninstrs(func)
-        start = time.perf_counter()
-        changed = p.run(func)
-        registry.timer(f"opt.pass.{p.name}").add(
-            time.perf_counter() - start)
-        registry.count(f"opt.pass.{p.name}.runs")
-        delta = before - _ninstrs(func)
-        if delta:
-            registry.count(f"opt.pass.{p.name}.instrs_removed",
-                           delta)
-    if changed and prior is not None:
-        retain_analyses(func, p.preserves, prior)
-    return changed
-
-
-def _run_rounds(func: Function, passes: list[FunctionPass],
-                rounds: int, rec) -> tuple[bool, bool]:
-    """Run the schedule to fixpoint or the round budget.
-
-    Returns ``(fixed, changed_any)``: ``fixed`` is True only when a full
-    round reported no change — the *only* state that may be memoized.
-    """
-    changed_any = False
-    for _ in range(rounds):
-        changed = False
-        for p in passes:
-            changed |= _run_pass(p, func, rec)
-        if not changed:
-            return True, changed_any
-        changed_any = True
-    return False, changed_any
-
-
-_SKIPPED, _FIXED, _UNRESOLVED = range(3)
-
-
-class PassManager:
-    """Run a pass schedule over a module as an incremental worklist."""
-
-    def __init__(self, module: Module, passes: list[FunctionPass],
-                 schedule_key: tuple, rounds: int,
-                 inline_threshold: int | None = None,
-                 jobs: int = 1):
-        self.module = module
-        self.passes = passes
-        self.schedule_key = schedule_key
-        self.rounds = max(rounds, 1)
-        #: None disables the inline stage entirely.
-        self.inline_threshold = inline_threshold
-        #: Worklist fan-out; custom schedules (unknown keys) cannot be
-        #: rebuilt inside a worker and always run serially.
-        self.jobs = max(1, int(jobs)) \
-            if _passes_for_schedule(schedule_key, module) is not None \
-            else 1
-        self._token = (schedule_key, _module_context(module))
-        self._rec = _obs_recorder()
-        self._memo_on = memo_enabled()
-        #: Names still short of fixpoint after their last visit.
-        self.unresolved: set[str] = set()
-        #: True when the inline stage reported changed callers.
-        self.inlined = False
-
-    # -- module-level fast path -----------------------------------------
-
-    def _snapshot(self) -> tuple:
-        return tuple((name, f.version)
-                     for name, f in self.module.functions.items())
-
-    def module_at_fixpoint(self) -> bool:
-        """True when a prior fully-converged run of this schedule left
-        the module exactly as it is now."""
-        state = _MODULE_STATE.get(self.module)
-        return state is not None and \
-            state.get(self._token) == self._snapshot()
-
-    def record_module_fixpoint(self) -> None:
-        """Snapshot the module if this run converged completely: every
-        function at fixpoint and (when inlining is on) no admissible
-        inline candidate left.  Callers invoke this after any module
-        passes that run outside the manager (function dropping)."""
-        if self.unresolved:
-            return
-        if self.inline_threshold is not None and inline.inline_would_change(
-                self.module, max_callee_size=self.inline_threshold):
-            return
-        _MODULE_STATE.setdefault(self.module, {})[self._token] = \
-            self._snapshot()
-
-    # -- worklist --------------------------------------------------------
-
-    def run(self) -> None:
-        module = self.module
-        if self.module_at_fixpoint():
-            obs.count("opt.manager.skipped", len(module.functions))
-            obs.event("opt.skip", scope="module",
-                      functions=len(module.functions))
-            return
-        self._visit(list(module.functions.values()))
-        if self.inline_threshold is None:
-            return
-        changed = self._run_inline()
-        if not changed:
-            return
-        self.inlined = True
-        # Only callers that received code (their bodies are new) and
-        # functions that never reached fixpoint can react to another
-        # round; everything else is provably a no-op.
-        targets = [f for name, f in module.functions.items()
-                   if name in changed or name in self.unresolved]
-        obs.count("opt.manager.requeued", len(targets))
-        if obs.ledger() is not None:
-            obs.event("opt.requeue",
-                      functions=sorted(f.name for f in targets))
-        self.unresolved.clear()
-        self._visit(targets)
-
-    def _visit(self, funcs: list[Function]) -> None:
-        """One worklist sweep over ``funcs`` (serial or fanned out)."""
-        if self.jobs > 1 and len(funcs) > 1:
-            funcs = self._visit_parallel(funcs)
-        for func in funcs:
-            if self._optimize(func) is _UNRESOLVED:
-                self.unresolved.add(func.name)
-
-    def _precheck(self, func: Function):
-        """The cheap skip layers (version, memo).  Returns
-        ``(skipped, entry_fp)``; ``entry_fp`` is the fingerprint already
-        computed for the memo probe, reusable by the caller."""
-        versions = _FIXPOINT.get(func)
-        if versions is not None and \
-                versions.get(self._token) == func.version:
-            obs.count("opt.manager.skipped")
-            obs.event("opt.skip", scope="function",
-                      function=func.name, reason="version")
-            return True, None
-        entry_fp = None
-        if self._memo_on:
-            entry_fp = function_fingerprint(func)
-            if _memo_get((self._token, entry_fp)):
-                self._record_fixpoint(func)
-                obs.count("opt.manager.skipped")
-                obs.count("opt.manager.memo_hits")
-                obs.event("opt.memo_hit", function=func.name)
-                return True, entry_fp
-        return False, entry_fp
-
-    def _optimize(self, func: Function) -> int:
-        skipped, entry_fp = self._precheck(func)
-        if skipped:
-            return _SKIPPED
-        fixed, changed_any = _run_rounds(func, self.passes, self.rounds,
-                                         self._rec)
-        if not fixed:
-            return _UNRESOLVED
-        self._record_fixpoint(func)
-        if self._memo_on:
-            fp = function_fingerprint(func) if changed_any else entry_fp
-            _memo_add((self._token, fp))
-        return _FIXED
-
-    def _visit_parallel(self, funcs: list[Function]) -> list[Function]:
-        """Fan one sweep out over the shared fork pool.
-
-        The parent runs the skip layers (they need its tracking state),
-        ships only the survivors to workers, and installs the returned
-        functions *in worklist order* — the merge, the fixpoint records,
-        and the memo inserts are all parent-side and deterministic, so
-        output is byte-identical to a serial sweep.  Returns the
-        functions that still need a serial visit (all of them when no
-        pool is available, none on success).
-        """
-        work = [func for func in funcs if not self._precheck(func)[0]]
-        if len(work) <= 1:
-            return work
-        observe = obs.enabled()
-        try:
-            pool = _acquire_opt_pool(self.jobs, self.module, observe,
-                                     len(work))
-        except Exception:
-            return work
-        tasks = [(func.name, self.schedule_key, self.rounds)
-                 for func in work]
-        results: dict[str, tuple] = {}
-        try:
-            futures = [pool.submit(_opt_worker, task) for task in tasks]
-            for future in as_completed(futures):
-                name, fixed, changed_any, fp, blob, payload = \
-                    future.result()
-                results[name] = (fixed, changed_any, fp, blob, payload)
-        except Exception:
-            # Broken pool / unpicklable function: the module is still
-            # untouched (installs happen below), so a serial sweep over
-            # the same work list computes identical results.
-            _invalidate_opt_pool()
-            return work
-        module = self.module
-        for func in work:
-            fixed, changed_any, fp, blob, payload = results[func.name]
-            obs.merge_payload(payload)
-            obs.count("opt.manager.parallel_visits")
-            if changed_any and blob is not None:
-                func = _loads_function(blob)
-                module.functions[func.name] = func
-            if not fixed:
-                # Round budget ran out while the worker's copy was
-                # still changing: record it unresolved and keep the
-                # partial result OUT of the memo (see the memo-
-                # poisoning regression test).
-                self.unresolved.add(func.name)
-                continue
-            self._record_fixpoint(func)
-            if self._memo_on and fp is not None:
-                _memo_add((self._token, fp))
-        return []
-
-    def _record_fixpoint(self, func: Function) -> None:
-        versions = _FIXPOINT.get(func)
-        if versions is None:
-            versions = _FIXPOINT[func] = {}
-        versions[self._token] = func.version
-
-    def _run_inline(self) -> set[str]:
-        module = self.module
-        rec = self._rec
-        if rec is None:
-            return inline.inline_functions_tracked(
-                module, max_callee_size=self.inline_threshold)
-        registry = rec.registry
-        before = sum(_ninstrs(f) for f in module.functions.values())
-        start = time.perf_counter()
-        changed = inline.inline_functions_tracked(
-            module, max_callee_size=self.inline_threshold)
-        registry.timer("opt.pass.inline").add(
-            time.perf_counter() - start)
-        registry.count("opt.pass.inline.runs")
-        delta = before - sum(_ninstrs(f)
-                             for f in module.functions.values())
-        if delta:
-            registry.count("opt.pass.inline.instrs_removed", delta)
-        return changed
-
-
-def _ninstrs(func: Function) -> int:
-    return sum(len(b.instrs) for b in func.blocks)
-
-
-# -- entry points --------------------------------------------------------
-
-def run_worklist(module: Module, opts, jobs: int | None = None) -> None:
-    """Worklist-optimize ``module`` under ``opts`` (an
-    :class:`~repro.opt.pipeline.OptOptions`); the incremental
-    counterpart of the legacy ``optimize_module`` schedule, including
-    the final unused-function sweep.  ``jobs`` (default:
-    ``$REPRO_OPT_JOBS``) fans per-function visits over the fork pool;
-    the output is byte-identical to serial."""
-    manager = PassManager(
-        module, build_function_pipeline(opts, module),
-        ("opt", opts), opts.rounds,
-        inline_threshold=opts.inline_threshold if opts.inline else None,
-        jobs=_resolve_jobs(jobs))
-    manager.run()
-    drop_unused_private_functions(module)
-    manager.record_module_fixpoint()
-
-
-def canonicalize_module(module: Module, jobs: int | None = None) -> None:
-    """The driver's canonicalization stage (SSA-ify vcpu registers,
-    fold address arithmetic) as a managed one-round schedule, so
-    re-canonicalizing an unchanged function after a no-op refinement
-    stage costs one version check.  ``REPRO_PASS_BASELINE=1`` restores
-    the legacy per-function loop."""
-    if pass_baseline_enabled():
-        for func in module.functions.values():
-            simplifycfg.simplify_cfg(func)
-            mem2reg.promote_allocas(func)
-            constfold.fold_constants(func)
-            flagfuse.fuse_flags(func)
-            constfold.fold_constants(func)
-            gvn.global_value_numbering(func)
-            dce.eliminate_dead_code(func)
-            simplifycfg.simplify_cfg(func)
-        return
-    PassManager(module, build_canonicalize_pipeline(module),
-                ("canonicalize",), rounds=1,
-                jobs=_resolve_jobs(jobs)).run()
+def canonicalize_module(module: Module) -> None:
+    """The driver's canonicalization stage: SSA-ify vcpu registers and
+    fold address arithmetic with one fixed round per function."""
+    for func in module.functions.values():
+        simplifycfg.simplify_cfg(func)
+        mem2reg.promote_allocas(func)
+        constfold.fold_constants(func)
+        flagfuse.fuse_flags(func)
+        constfold.fold_constants(func)
+        gvn.global_value_numbering(func)
+        dce.eliminate_dead_code(func)
+        simplifycfg.simplify_cfg(func)
 
 
 def drop_unused_private_functions(module: Module) -> None:

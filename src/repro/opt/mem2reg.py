@@ -11,15 +11,8 @@ from __future__ import annotations
 
 from ..ir.module import Block, Function
 from ..ir.values import Alloca, Const, Instr, Load, Phi, Store, Unary, Value
-from .analysis import CFG_ANALYSES, dominators
+from .analysis import dominators
 from .simplifycfg import remove_unreachable
-
-#: Promotion rewrites loads/stores into phis and SSA uses but never adds,
-#: removes, or retargets a block itself, so cached CFG analyses survive a
-#: change.  The entry ``remove_unreachable`` call is the one exception;
-#: it changes the block count, which voids retention automatically (see
-#: :func:`repro.opt.analysis.retain_analyses`).
-PRESERVES = CFG_ANALYSES
 
 
 def promotable_allocas(func: Function) -> list[Alloca]:

@@ -1,12 +1,10 @@
-"""Standard optimization pipelines and the legacy fixed schedule.
+"""The standard optimization pipeline: one fixed pass schedule.
 
 ``optimize_module`` is the LLVM ``opt`` analogue used by the MiniC
-compiler personalities and by the recompiler after lifting/symbolization.
-It normally dispatches to the incremental worklist engine in
-:mod:`repro.opt.manager` (function-level change tracking, cross-stage
-memoization); ``REPRO_PASS_BASELINE=1`` selects the legacy fixed
-schedule kept verbatim below.  The two produce byte-identical output —
-``tests/opt/test_pass_manager.py`` holds them to that.
+compiler personalities and by the recompiler after lifting/symbolization:
+every function runs the per-round schedule to fixpoint (or the round
+budget), then the module is inlined, every function is re-optimized if
+anything was inlined, and unreachable private functions are dropped.
 
 Observability: when a :mod:`repro.obs` recorder is active, every pass
 run records its wall time (timer ``opt.pass.<name>``) and instruction
@@ -27,11 +25,7 @@ from .dse import eliminate_dead_stores
 from .flagfuse import fuse_flags
 from .gvn import eliminate_redundant_loads, global_value_numbering
 from .inline import inline_functions
-from .manager import (
-    drop_unused_private_functions,
-    pass_baseline_enabled,
-    run_worklist,
-)
+from .manager import drop_unused_private_functions
 from .mem2reg import promote_allocas
 from .simplifycfg import simplify_cfg
 
@@ -127,27 +121,12 @@ def optimize_function(func: Function, module: Module | None = None,
 
 
 def optimize_module(module: Module,
-                    options: OptOptions | None = None,
-                    jobs: int | None = None) -> None:
-    """Optimize every function of ``module``.
-
-    ``jobs`` fans the worklist engine's per-function visits over the
-    shared fork pool (default ``$REPRO_OPT_JOBS``, i.e. serial); output
-    is byte-identical for any job count.  The baseline schedule is
-    always serial.
-    """
+                    options: OptOptions | None = None) -> None:
+    """Optimize every function of ``module``: every function every
+    time, and a full-module re-run after any inlining."""
     opts = options or OptOptions()
     if opts.level == 0:
         return
-    if pass_baseline_enabled():
-        _optimize_module_baseline(module, opts)
-        return
-    run_worklist(module, opts, jobs=jobs)
-
-
-def _optimize_module_baseline(module: Module, opts: OptOptions) -> None:
-    """The pre-worklist fixed schedule: every function every time, and a
-    full-module re-run after any inlining."""
     for func in module.functions.values():
         optimize_function(func, module, opts)
     if opts.inline:

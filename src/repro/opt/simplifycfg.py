@@ -11,11 +11,6 @@ from ..ir.module import Function
 from ..ir.values import Br, CondBr, Const, Switch
 from .analysis import predecessors, reachable
 
-#: Preserved-analyses declaration for the pass manager: CFG
-#: simplification exists to mutate control flow, so a change invalidates
-#: every cached CFG analysis.
-PRESERVES: frozenset = frozenset()
-
 
 def remove_unreachable(func: Function) -> bool:
     live = set(reachable(func))

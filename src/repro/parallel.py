@@ -1,12 +1,11 @@
 """repro.parallel — the shared fork-pool utility.
 
-Both per-function-independent backend stages — the replay engine's
-validation / instrumented-bounds sweeps (:mod:`repro.replay.engine`)
-and the pass manager's worklist visits (:mod:`repro.opt.manager`) —
-fan work out over process pools whose workers read a large cyclic
-object graph (the IR module).  Pickling that graph per task is the
-dominant cost, so pools are spawned with the ``fork`` start method and
-workers read the context from inherited memory instead:
+The replay engine's validation / instrumented-bounds sweeps
+(:mod:`repro.replay.engine`) fan work out over process pools whose
+workers read a large cyclic object graph (the IR module).  Pickling
+that graph per task is the dominant cost, so pools are spawned with the
+``fork`` start method and workers read the context from inherited
+memory instead:
 
 1. the parent publishes the context via :func:`publish_ctx`;
 2. the pool forks, each worker inheriting the published snapshot;
@@ -67,8 +66,9 @@ def worker_ctx():
 class ForkPool:
     """A reusable fork-context process pool keyed by inherited context.
 
-    One ``ForkPool`` per owning scope (a replay engine, a pass-manager
-    invocation); at most one executor is live at a time.
+    One ``ForkPool`` per owning scope (a replay engine, or a serve
+    process that lends one to every request); at most one executor is
+    live at a time.
     """
 
     def __init__(self, jobs: int):

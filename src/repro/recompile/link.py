@@ -10,9 +10,9 @@ from ..isa import AsmProgram, DataItem, Label, assemble
 from .lower import (
     RESOLVER_NAME,
     STACK_SWITCH_SAVE,
+    FunctionLowerer,
     LowerOptions,
     build_resolver,
-    lower_function,
 )
 
 #: Recompiled binaries are placed clear of the original image so pinned
@@ -67,14 +67,11 @@ def lower_module(module: Module,
     program.imports = imports
 
     for func in module.functions.values():
-        # Fingerprint-memoized: a warm compile touches only functions
-        # whose IR content actually changed (see lower.lower_function).
-        asm, data_items, ground_truth = lower_function(func, module,
-                                                       opts)
-        program.functions.append(asm)
-        program.data.extend(data_items)
-        if ground_truth is not None:
-            program.ground_truth.append(ground_truth)
+        lowerer = FunctionLowerer(func, module, opts)
+        program.functions.append(lowerer.lower())
+        program.data.extend(lowerer.data_items)
+        if lowerer.ground_truth is not None:
+            program.ground_truth.append(lowerer.ground_truth)
 
     for g in module.globals.values():
         program.data.append(DataItem(

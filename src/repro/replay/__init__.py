@@ -7,7 +7,6 @@ per-input tracing runtimes.  See :mod:`repro.replay.engine`.
 """
 
 from .engine import ReplayEngine
-from .fingerprint import function_fingerprint, module_fingerprint
+from .fingerprint import module_fingerprint
 
-__all__ = ["ReplayEngine", "function_fingerprint",
-           "module_fingerprint"]
+__all__ = ["ReplayEngine", "module_fingerprint"]

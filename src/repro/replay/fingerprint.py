@@ -21,23 +21,8 @@ from __future__ import annotations
 
 import hashlib
 
-from ..ir.module import Function, Module
-from ..ir.printer import function_to_text, module_to_text
-
-
-def function_fingerprint(func: Function) -> str:
-    """Hex digest of one function's canonical rendering.
-
-    The per-function analogue of :func:`module_fingerprint`, used by the
-    optimizer's cross-stage memo (:mod:`repro.opt.manager`): two
-    functions with equal fingerprints print identically — same
-    signature, blocks, instructions, and operand structure — so a pass
-    schedule that reached fixpoint on one is a no-op on the other.
-    Module-level context (global layouts) is *not* part of the digest;
-    callers that depend on it must key it separately.
-    """
-    return hashlib.sha256(
-        function_to_text(func).encode()).hexdigest()[:32]
+from ..ir.module import Module
+from ..ir.printer import module_to_text
 
 
 def module_fingerprint(module: Module) -> str:

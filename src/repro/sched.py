@@ -1,18 +1,14 @@
 """repro.sched — the serve daemon's multi-process job scheduler.
 
-PR 8's daemon executed every job under one in-process lock: the warm
-incremental state (the optimizer's cross-stage fingerprint memo, the
-lowering cache, the published fork-pool context) is process-global, so
-two jobs could not safely overlap in one process — and the daemon's
-throughput ceiling was one job at a time regardless of core count.
+In single-lock mode the daemon executes every job under one in-process
+lock: the published fork-pool context is process-global, so two jobs
+cannot safely overlap in one process — and the daemon's throughput
+ceiling is one job at a time regardless of core count.
 
 This module moves job execution into a pool of **long-lived worker
 processes**.  Each worker is forked once at scheduler start and then
-runs many jobs, so the per-process warm state accumulates exactly as
-it did in the single-process daemon — result-key memos via the shared
-store, per-image trace records, the optimizer's fingerprint memo, and
-the lowering cache all stay hot *inside the worker* between jobs.
-Cross-worker reuse still lands via the shared content-addressed
+runs many jobs, keeping its replay fork pool between jobs.  Reuse of
+results and per-input traces lands via the shared content-addressed
 :class:`~repro.store.ArtifactStore` on disk (its atomic
 tmp+``os.replace`` writes make concurrent puts safe; last writer wins
 and wrote the same bytes anyway).
@@ -26,12 +22,11 @@ Scheduling model:
   durations) instead of queueing unboundedly.
 * **Image-affinity dispatch** — a job's ``image_key`` hashes to a
   preferred worker (:func:`affinity_worker`), so repeat requests for
-  one image land on the worker whose in-process caches are already
-  warm for it.
+  one image land on the same worker.
 * **Work stealing** — when the affine worker is busy and another is
   idle, the job is dispatched to the idle worker rather than waiting
-  (correctness is unaffected: the artifact store serves the disk-level
-  reuse either way; only the in-process warmth is forfeited).
+  (correctness is unaffected: the artifact store serves the reuse
+  either way).
 * **Per-job wall-clock limit** — ``job_timeout`` kills the worker
   mid-job, fails the job with kind ``JobTimeout``, emits a
   ``job.timeout`` ledger event, and respawns the worker so the slot is
@@ -61,7 +56,7 @@ from pathlib import Path
 
 from . import obs
 from .binary.image import BinaryImage
-from .core.incremental import incremental_recompile, warm_stats
+from .core.incremental import incremental_recompile
 from .errors import SchedError, SchedRejected
 from .parallel import ForkPool
 from .store import ArtifactStore, decode_runs
@@ -80,7 +75,7 @@ _SECONDS_SEED = 5.0
 def affinity_worker(image_key: str, workers: int) -> int:
     """The preferred worker index for an image: a stable hash of the
     image's content key, so every request for one image prefers the
-    same worker (and its warm caches) for the daemon's lifetime."""
+    same worker for the daemon's lifetime."""
     if workers <= 1:
         return 0
     try:
@@ -93,7 +88,7 @@ def affinity_worker(image_key: str, workers: int) -> int:
 # -- single-lock serve path so both modes share one code path) -----------
 
 def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
-                opt_jobs: int | None = None, replay_pool=None,
+                replay_pool=None,
                 image: BinaryImage | None = None) -> dict:
     """Run one job spec and return the response fields it produced.
 
@@ -122,7 +117,7 @@ def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
         check=options.get("check"),
         static_widen=options.get("static_widen"),
         hybrid=options.get("hybrid", False),
-        jobs=jobs, opt_jobs=opt_jobs, replay_pool=replay_pool,
+        jobs=jobs, replay_pool=replay_pool,
         collect_accuracy=options.get("collect_accuracy", True))
     out: dict = {
         "served": served.stats.served,
@@ -171,12 +166,11 @@ def _arm_worker_obs(spec: dict) -> bool:
     return armed
 
 
-def _worker_main(conn, worker_id: int, store_root: str, jobs: int,
-                 opt_jobs: int | None) -> None:
+def _worker_main(conn, worker_id: int, store_root: str,
+                 jobs: int) -> None:
     """Worker process entry: serve job specs from ``conn`` until EOF or
-    a ``None`` sentinel.  All warm in-process state (optimizer memo,
-    lowering cache, replay pool, block caches) lives and accumulates
-    here, one pool per worker."""
+    a ``None`` sentinel.  The replay pool lives here, one per
+    worker."""
     obs.fork_begin()   # drop any in-memory events inherited over fork
     store = ArtifactStore(store_root)
     pool = ForkPool(jobs) if jobs > 1 else None
@@ -194,14 +188,12 @@ def _worker_main(conn, worker_id: int, store_root: str, jobs: int,
                               job=spec.get("job", 0),
                               image=spec.get("image_key", "")):
                     result = execute_job(spec, store, jobs=jobs,
-                                         opt_jobs=opt_jobs,
                                          replay_pool=pool)
                 result["ok"] = True
             except Exception as exc:   # ship the failure, stay alive
                 result = {"ok": False, "error": str(exc),
                           "kind": type(exc).__name__}
             result["worker"] = worker_id
-            result["warm"] = warm_stats()
             if shipping:
                 result["obs"] = obs.export_payload()
             try:
@@ -234,7 +226,7 @@ class _Worker:
     """Parent-side handle for one worker slot (survives respawns)."""
 
     __slots__ = ("idx", "proc", "conn", "job", "jobs_done", "failures",
-                 "last_image", "warm")
+                 "last_image")
 
     def __init__(self, idx: int):
         self.idx = idx
@@ -244,7 +236,6 @@ class _Worker:
         self.jobs_done = 0
         self.failures = 0
         self.last_image = ""
-        self.warm: dict = {}
 
 
 class JobScheduler:
@@ -256,13 +247,11 @@ class JobScheduler:
     """
 
     def __init__(self, workers: int, store_root, jobs: int = 1,
-                 opt_jobs: int | None = None,
                  max_depth: int | None = None,
                  job_timeout: float | None = None):
         self.workers = max(1, int(workers))
         self.store_root = str(store_root)
         self.jobs = max(1, int(jobs))
-        self.opt_jobs = opt_jobs
         self.max_depth = (int(max_depth) if max_depth is not None
                           else DEPTH_PER_WORKER * self.workers)
         self.job_timeout = job_timeout
@@ -307,8 +296,7 @@ class JobScheduler:
         parent_conn, child_conn = self._mp.Pipe()
         proc = self._mp.Process(
             target=_worker_main,
-            args=(child_conn, slot.idx, self.store_root, self.jobs,
-                  self.opt_jobs),
+            args=(child_conn, slot.idx, self.store_root, self.jobs),
             name=f"repro-sched-worker-{slot.idx}", daemon=True)
         proc.start()
         child_conn.close()
@@ -553,7 +541,6 @@ class JobScheduler:
                 slot.failures += 1
             else:
                 slot.jobs_done += 1
-                slot.warm = result.pop("warm", slot.warm)
                 # Completed-job moving average feeds the retry hint.
                 self._ewma_seconds = (0.7 * self._ewma_seconds
                                       + 0.3 * elapsed)
@@ -592,6 +579,9 @@ class JobScheduler:
                      "jobs": s.jobs_done,
                      "failures": s.failures,
                      "last_image": s.last_image,
-                     "warm": dict(s.warm)}
+                     # No optimizer or lowering state outlives a job;
+                     # the empty mapping keeps the status schema that
+                     # readers (the warm-campaign benchmark) expect.
+                     "warm": {}}
                     for s in self._slots],
             }

@@ -12,19 +12,17 @@ Why a daemon beats N one-shot processes:
 
 * the content-addressed :class:`~repro.store.ArtifactStore` persists
   traces and results across requests (and across daemon restarts);
-* the serving processes stay warm: the optimizer's cross-stage
-  fingerprint memo, the lowering cache, and the shared replay
-  :class:`~repro.parallel.ForkPool` all survive between jobs, so an
-  input addition re-refines only the functions whose fingerprint
-  moved;
+* the serving processes keep the shared replay
+  :class:`~repro.parallel.ForkPool` between jobs, and an input
+  addition re-traces only the new input;
 * with ``--workers N`` jobs execute on a pool of long-lived worker
   processes (:mod:`repro.sched`): distinct images recompile
-  concurrently, repeat requests for one image are routed to the worker
-  whose caches are already warm for it (image-affinity dispatch with
-  work-stealing fallback), and a bounded queue applies backpressure.
-  Without ``--workers`` (the default) jobs serialize on one in-process
-  lock exactly as before — the two modes produce byte-identical
-  artifacts because every reuse layer is content-pinned.
+  concurrently, repeat requests for one image are routed to the same
+  worker (image-affinity dispatch with work-stealing fallback), and a
+  bounded queue applies backpressure.  Without ``--workers`` (the
+  default) jobs serialize on one in-process lock — the two modes
+  produce byte-identical artifacts because every reuse layer is
+  content-pinned.
 
 Protocol: line-delimited JSON — one request object per line, one
 response object per line, over ``AF_UNIX``.  Requests carry an ``op``:
@@ -67,7 +65,6 @@ from pathlib import Path
 
 from . import obs
 from .binary.image import BinaryImage
-from .core.incremental import warm_stats
 from .errors import RemoteJobError, ServeError
 from .parallel import ForkPool
 from .sched import JobScheduler, execute_job
@@ -95,16 +92,16 @@ class RecompileServer:
 
     One instance per socket path.  Connections are handled on threads.
     Job execution is either serialized on :attr:`_job_lock` (default:
-    the in-process caches the incremental pipeline relies on are
-    process-global) or dispatched to a :class:`~repro.sched.
-    JobScheduler` worker pool (``workers >= 1``), where each worker
-    holds its own warm state and campaigns serialize per-name only.
+    the replay pool context is process-global) or dispatched to a
+    :class:`~repro.sched.JobScheduler` worker pool (``workers >= 1``),
+    where each worker owns its replay pool and campaigns serialize
+    per-name only.
     """
 
     def __init__(self, socket_path: str | Path,
                  store: ArtifactStore | str | Path | None = None,
-                 jobs: int = 1, opt_jobs: int | None = None,
-                 workers: int = 0, queue_depth: int | None = None,
+                 jobs: int = 1, workers: int = 0,
+                 queue_depth: int | None = None,
                  job_timeout: float | None = None):
         self.socket_path = Path(socket_path)
         if isinstance(store, ArtifactStore):
@@ -112,7 +109,6 @@ class RecompileServer:
         else:
             self.store = ArtifactStore(store)
         self.jobs = max(1, int(jobs))
-        self.opt_jobs = opt_jobs
         self.workers = max(0, int(workers))
         self.max_request_bytes = MAX_REQUEST_BYTES
         if job_timeout is not None and self.workers < 1:
@@ -125,8 +121,8 @@ class RecompileServer:
             try:
                 self.sched = JobScheduler(
                     self.workers, store_root=self.store.root,
-                    jobs=self.jobs, opt_jobs=opt_jobs,
-                    max_depth=queue_depth, job_timeout=job_timeout)
+                    jobs=self.jobs, max_depth=queue_depth,
+                    job_timeout=job_timeout)
             except ValueError:
                 # No fork start method on this platform: fall back to
                 # the single-lock mode, which computes the same thing.
@@ -279,8 +275,7 @@ class RecompileServer:
                    "workers": self.workers,
                    "stats": stats, "store": dict(self.store.stats),
                    "store_root": str(self.store.root),
-                   "campaigns": self.store.list_campaigns(),
-                   "warm": warm_stats()}
+                   "campaigns": self.store.list_campaigns()}
             if self.sched is not None:
                 doc["sched"] = self.sched.snapshot()
             return doc
@@ -393,7 +388,6 @@ class RecompileServer:
                 if self.sched is None:
                     result = execute_job(
                         spec, self.store, jobs=self.jobs,
-                        opt_jobs=self.opt_jobs,
                         replay_pool=self.replay_pool, image=image)
                     result["ok"] = True
                 else:
@@ -529,13 +523,12 @@ class ServeClient:
 def serve_forever(socket_path: str | Path,
                   store: str | Path | None = None,
                   jobs: int = 1,
-                  opt_jobs: int | None = None,
                   workers: int = 0,
                   queue_depth: int | None = None,
                   job_timeout: float | None = None) -> RecompileServer:
     """Convenience entry: build a server and block serving requests."""
     server = RecompileServer(socket_path, store=store, jobs=jobs,
-                             opt_jobs=opt_jobs, workers=workers,
+                             workers=workers,
                              queue_depth=queue_depth,
                              job_timeout=job_timeout)
     server.serve_forever()

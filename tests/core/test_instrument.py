@@ -5,7 +5,7 @@ from repro.core.sp0fold import fold_module_stack_refs
 from repro.core.regsave import apply_register_classification, \
     classify_registers
 from repro.core.varargs import recover_vararg_calls
-from repro.core.driver import _canonicalize
+from repro.opt import canonicalize_module
 from repro.emu import run_binary, trace_binary
 from repro.ir import Interpreter, run_module, verify_module
 from repro.ir.values import Intrinsic
@@ -20,7 +20,7 @@ def prepared_module():
     recover_vararg_calls(module, traces.inputs)
     apply_register_classification(
         module, classify_registers(module, traces.inputs))
-    _canonicalize(module)
+    canonicalize_module(module)
     fold_module_stack_refs(module)
     return image, traces, module
 

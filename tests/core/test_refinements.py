@@ -12,7 +12,7 @@ from repro.core import (
     compute_sp0_offsets,
     recover_vararg_calls,
 )
-from repro.core.driver import _canonicalize
+from repro.opt import canonicalize_module
 from tests.conftest import KERNEL_SOURCE, cached_image
 
 
@@ -104,7 +104,7 @@ def test_sp0_offsets_fold_after_canonicalization():
     recover_vararg_calls(module, traces.inputs)
     apply_register_classification(
         module, classify_registers(module, traces.inputs))
-    _canonicalize(module)
+    canonicalize_module(module)
     for func in module.functions.values():
         if not func.name.startswith("fn_"):
             continue
@@ -126,7 +126,7 @@ def test_stack_refs_exclude_pure_chain_nodes():
     recover_vararg_calls(module, traces.inputs)
     apply_register_classification(
         module, classify_registers(module, traces.inputs))
-    _canonicalize(module)
+    canonicalize_module(module)
     func = next(f for f in module.functions.values()
                 if f.name.startswith("fn_"))
     refs = classify_stack_refs(func)

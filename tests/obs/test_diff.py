@@ -24,27 +24,27 @@ def _timer(mean, p95=None):
 
 
 def test_diff_spans_and_counters():
-    a = _report(counters={"lower.cache.hits": 5, "only.a": 1},
+    a = _report(counters={"store.hit": 5, "only.a": 1},
                 spans=("stage.trace", "stage.lift"))
-    b = _report(counters={"lower.cache.hits": 9, "only.b": 2},
+    b = _report(counters={"store.hit": 9, "only.b": 2},
                 spans=("stage.trace", "stage.opt"))
     diff = obs.diff_reports(a, b)
     assert diff["spans"]["added"] == {"stage.opt": 1}
     assert diff["spans"]["removed"] == {"stage.lift": 1}
     assert diff["counters"]["added"] == {"only.b": 2}
     assert diff["counters"]["removed"] == {"only.a": 1}
-    assert diff["counters"]["changed"]["lower.cache.hits"] == {
+    assert diff["counters"]["changed"]["store.hit"] == {
         "a": 5, "b": 9, "delta": 4}
 
 
 def test_diff_surfaces_disabled_cache_counters():
-    """The acceptance scenario: a run with REPRO_LOWER_CACHE=0 loses
-    the lower.cache.* counters and the diff must say so."""
-    a = _report(counters={"lower.cache.misses": 2})
+    """The acceptance scenario: a run with the evaluation cache off
+    loses the evalcache.* counters and the diff must say so."""
+    a = _report(counters={"evalcache.miss": 2})
     b = _report(counters={})
     diff = obs.diff_reports(a, b)
-    assert diff["counters"]["removed"] == {"lower.cache.misses": 2}
-    assert "lower.cache.misses" in obs.render_diff(diff)
+    assert diff["counters"]["removed"] == {"evalcache.miss": 2}
+    assert "evalcache.miss" in obs.render_diff(diff)
 
 
 def test_diff_timer_noise_thresholds():

@@ -43,9 +43,9 @@ def test_emit_rejects_unknown_kind():
 
 def test_in_memory_events_carry_schema_and_sequence():
     led = obs.enable_ledger()
-    obs.event("cache.hit", cache="lower", function="f")
-    obs.event("cache.miss", cache="lower", function="g")
-    assert [e["kind"] for e in led.events] == ["cache.hit", "cache.miss"]
+    obs.event("store.hit", artifact="trace", key="f")
+    obs.event("store.miss", artifact="trace", key="g")
+    assert [e["kind"] for e in led.events] == ["store.hit", "store.miss"]
     assert [e["seq"] for e in led.events] == [1, 2]
     assert all(e["v"] == obs.LEDGER_SCHEMA_VERSION for e in led.events)
     assert all(e["pid"] > 0 for e in led.events)
@@ -54,7 +54,7 @@ def test_in_memory_events_carry_schema_and_sequence():
 def test_event_is_noop_when_disabled():
     obs.disable_ledger()
     assert obs.ledger() is None
-    obs.event("cache.hit")  # must not raise, must not record anywhere
+    obs.event("store.hit")  # must not raise, must not record anywhere
 
 
 def test_fields_are_converted_to_json_values():
@@ -93,13 +93,13 @@ def test_fork_begin_drops_inherited_in_memory_events():
 
 def test_worker_payload_ships_in_memory_events():
     led = obs.enable_ledger()
-    obs.event("opt.memo_hit", function="f")
+    obs.event("validate.verdict", stage="varargs")
     payload = obs.export_payload()
     assert payload is not None
-    assert [e["kind"] for e in payload["events"]] == ["opt.memo_hit"]
+    assert [e["kind"] for e in payload["events"]] == ["validate.verdict"]
     assert led.events == []  # drained into the payload
     obs.merge_payload(payload)
-    assert [e["kind"] for e in led.events] == ["opt.memo_hit"]
+    assert [e["kind"] for e in led.events] == ["validate.verdict"]
 
 
 def test_concurrent_emission_produces_clean_jsonl(tmp_path):
@@ -115,8 +115,8 @@ def test_concurrent_emission_produces_clean_jsonl(tmp_path):
         for i in range(n_each):
             with obs.span(f"stage.t{tid}", i=i):
                 obs.count("thread.ticks")
-            obs.event("cache.hit", cache="lower",
-                      function=f"t{tid}_{i}",
+            obs.event("store.hit", artifact="trace",
+                      key=f"t{tid}_{i}",
                       payload="x" * 64)
 
     threads = [threading.Thread(target=worker, args=(t,))
@@ -128,11 +128,11 @@ def test_concurrent_emission_produces_clean_jsonl(tmp_path):
     obs.disable_ledger()
 
     docs = obs.read_events(path)
-    # span hooks add stage.start/stage.finish around each cache.hit
-    hits = [d for d in docs if d["kind"] == "cache.hit"]
+    # span hooks add stage.start/stage.finish around each store.hit
+    hits = [d for d in docs if d["kind"] == "store.hit"]
     assert len(hits) == n_threads * n_each
     assert {d["kind"] for d in docs} == {"stage.start", "stage.finish",
-                                         "cache.hit"}
+                                         "store.hit"}
     seqs = [d["seq"] for d in docs]
     assert sorted(seqs) == list(range(1, len(docs) + 1))
     assert obs.recorder().registry.counters["thread.ticks"] == \

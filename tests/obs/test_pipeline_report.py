@@ -1,6 +1,8 @@
 """End-to-end observability of a full recompile, and the observer-effect
 guard: enabling repro.obs must never change what the pipeline produces."""
 
+import copy
+
 import pytest
 
 from repro import obs
@@ -85,6 +87,18 @@ def test_summary_renders(report):
         assert stage in text
     assert "block cache hit rate" in text
     assert "hot blocks" in text
+    # stage.sanalysis / stage.sanitize carry integer finding counts
+    # under ``error``; only an exception message marks a stage failed.
+    spans = {s["name"]: s for s in obs.iter_spans(report)}
+    assert spans["stage.sanalysis"]["attrs"]["error"] == 0
+    assert "ERROR" not in text
+    failed = copy.deepcopy(report)
+    for span in obs.iter_spans(failed):
+        if span["name"] == "stage.optimize":
+            span["attrs"]["error"] = "VerifyError: bad phi"
+    rows = [line for line in obs.summary(failed).splitlines()
+            if "ERROR" in line]
+    assert len(rows) == 1 and rows[0].startswith("optimize")
 
 
 def test_observability_does_not_change_output(kernel_image):

@@ -1,22 +1,6 @@
-"""The incremental worklist pass manager (repro.opt.manager).
+"""Module-level drivers of the fixed pass schedule (repro.opt.manager):
+the transitive unused-function sweep that closes ``optimize_module``."""
 
-Two families of guarantees:
-
-* **Equivalence** — the worklist engine's output is byte-identical to
-  the legacy fixed schedule (``REPRO_PASS_BASELINE=1``) at every
-  optimization level, both as printed IR and as recompiled binaries.
-* **Incrementality** — re-optimizing unchanged functions is skipped
-  (version tracking on the same object, fingerprint memo across
-  objects), and after inlining only the callers that received code are
-  re-enqueued.
-"""
-
-import copy
-
-import pytest
-
-from repro import obs
-from repro.cc.driver import compile_to_ir
 from repro.ir import (
     Builder,
     Const,
@@ -25,153 +9,11 @@ from repro.ir import (
     run_module,
     verify_module,
 )
-from repro.ir.printer import module_to_text
 from repro.opt import (
     OptOptions,
-    canonicalize_module,
-    clear_memo,
-    close_opt_pool,
     drop_unused_private_functions,
     optimize_module,
 )
-from repro.opt import manager as manager_mod
-from repro.recompile.link import compile_ir
-from tests.conftest import FEATURE_SOURCE, KERNEL_SOURCE
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    """Each test starts with no cross-stage state and leaves none."""
-    clear_memo()
-    yield
-    clear_memo()
-    close_opt_pool()
-
-
-def _optimized_pair(source, opts, monkeypatch):
-    """(worklist module, baseline module) for one source + options."""
-    managed = compile_to_ir(source, name="t", config=None)
-    baseline = compile_to_ir(source, name="t", config=None)
-    optimize_module(managed, opts)
-    monkeypatch.setenv("REPRO_PASS_BASELINE", "1")
-    optimize_module(baseline, opts)
-    monkeypatch.delenv("REPRO_PASS_BASELINE")
-    return managed, baseline
-
-
-@pytest.mark.parametrize("level", ["o0", "o1", "o2", "o3"])
-@pytest.mark.parametrize("source", [FEATURE_SOURCE, KERNEL_SOURCE],
-                         ids=["feature", "kernel"])
-def test_worklist_matches_baseline_ir(source, level, monkeypatch):
-    opts = getattr(OptOptions, level)()
-    managed, baseline = _optimized_pair(source, opts, monkeypatch)
-    verify_module(managed)
-    assert module_to_text(managed) == module_to_text(baseline)
-
-
-@pytest.mark.parametrize("level", ["o1", "o3"])
-def test_worklist_matches_baseline_binary(level, monkeypatch):
-    opts = getattr(OptOptions, level)()
-    managed, baseline = _optimized_pair(FEATURE_SOURCE, opts,
-                                        monkeypatch)
-    assert compile_ir(managed).to_json() == compile_ir(baseline).to_json()
-
-
-def test_memo_warm_copy_matches_baseline(monkeypatch):
-    """A fresh object served from the fingerprint memo still prints
-    identically to a cold baseline run."""
-    opts = OptOptions.o2()
-    warmup = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(warmup, opts)  # populate the memo
-    managed, baseline = _optimized_pair(FEATURE_SOURCE, opts,
-                                        monkeypatch)
-    assert module_to_text(managed) == module_to_text(baseline)
-
-
-def test_canonicalize_matches_baseline(monkeypatch):
-    managed = compile_to_ir(KERNEL_SOURCE, name="t", config=None)
-    baseline = compile_to_ir(KERNEL_SOURCE, name="t", config=None)
-    canonicalize_module(managed)
-    monkeypatch.setenv("REPRO_PASS_BASELINE", "1")
-    canonicalize_module(baseline)
-    monkeypatch.delenv("REPRO_PASS_BASELINE")
-    verify_module(managed)
-    assert module_to_text(managed) == module_to_text(baseline)
-
-
-def _pass_runs(counters):
-    return {name: n for name, n in counters.items()
-            if name.startswith("opt.pass.") and name.endswith(".runs")}
-
-
-def _counters_for(fn):
-    obs.enable(reset=True)
-    try:
-        fn()
-        return obs.export_payload()["metrics"]["counters"]
-    finally:
-        obs.disable()
-
-
-def test_second_call_skips_everything():
-    """Optimizing an already-optimized module runs zero passes: every
-    function is accounted as skipped via the module snapshot."""
-    opts = OptOptions.o2()
-    module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(module, opts)
-    text = module_to_text(module)
-    nfuncs = len(module.functions)
-
-    counters = _counters_for(lambda: optimize_module(module, opts))
-    assert not _pass_runs(counters)
-    assert counters.get("opt.manager.skipped", 0) >= max(nfuncs, 1)
-    assert module_to_text(module) == text
-
-
-def test_fresh_copy_hits_memo():
-    """A deep copy (new objects, same content) is skipped through the
-    cross-stage fingerprint memo rather than re-optimized."""
-    opts = OptOptions.o2()
-    module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(module, opts)
-    text = module_to_text(module)
-
-    clone = copy.deepcopy(module)
-    counters = _counters_for(lambda: optimize_module(clone, opts))
-    assert counters.get("opt.manager.memo_hits", 0) >= 1
-    function_runs = {n: c for n, c in _pass_runs(counters).items()
-                     if n != "opt.pass.inline.runs"}
-    assert not function_runs
-    assert module_to_text(clone) == text
-
-
-def test_memo_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_OPT_MEMO", "0")
-    opts = OptOptions.o2()
-    module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(module, opts)
-    clone = copy.deepcopy(module)
-    counters = _counters_for(lambda: optimize_module(clone, opts))
-    assert counters.get("opt.manager.memo_hits", 0) == 0
-    assert _pass_runs(counters)  # really re-ran the schedule
-
-
-def test_inline_requeues_only_changed_callers():
-    """After inlining, only callers that received code re-enter the
-    worklist (baseline re-optimized the whole module)."""
-    src = r"""
-    int tiny(int x) { return x + 1; }
-    int away(int x) { return x * 2; }
-    int main() { return tiny(4); }
-    """
-    opts = OptOptions.o2()
-    module = compile_to_ir(src, name="t", config=None)
-    nfuncs = len(module.functions)  # tiny, away, main, _start
-    counters = _counters_for(lambda: optimize_module(module, opts))
-    # main absorbed tiny and _start absorbed main; away and tiny had
-    # already reached fixpoint and must not be revisited.
-    assert counters.get("opt.manager.requeued", 0) == 2 < nfuncs
-    assert run_module(module).exit_code == 5
 
 
 def _dead_cycle_module():
@@ -206,129 +48,3 @@ def test_optimize_module_drops_dead_cycle():
     m = _dead_cycle_module()
     optimize_module(m, OptOptions.o2())
     assert set(m.functions) == {"main"}
-
-
-def test_mutated_function_is_reoptimized(monkeypatch):
-    """Touching one function after fixpoint re-optimizes that function
-    (and only it) on the next call.  The memo is disabled because a
-    version bump with unchanged content is exactly what the fingerprint
-    layer exists to catch — here we want the version layer alone."""
-    monkeypatch.setenv("REPRO_OPT_MEMO", "0")
-    opts = OptOptions.o1()  # no inlining: isolates the version check
-    module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(module, opts)
-
-    victim = next(iter(module.functions.values()))
-    victim.invalidate()
-    counters = _counters_for(lambda: optimize_module(module, opts))
-    assert _pass_runs(counters)  # the victim really re-ran
-    assert counters.get("opt.manager.skipped", 0) >= \
-        len(module.functions) - 1
-
-
-def test_version_bump_with_same_content_served_by_memo():
-    """The complement of the previous test: with the memo on, a version
-    bump that did not change the function's content costs one
-    fingerprint instead of a schedule run."""
-    opts = OptOptions.o1()
-    module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(module, opts)
-
-    next(iter(module.functions.values())).invalidate()
-    counters = _counters_for(lambda: optimize_module(module, opts))
-    assert not _pass_runs(counters)
-    assert counters.get("opt.manager.memo_hits", 0) == 1
-
-
-# -- parallel worklist visits (jobs > 1) --------------------------------------
-
-
-@pytest.mark.parametrize("level", ["o0", "o1", "o2", "o3"])
-@pytest.mark.parametrize("source", [FEATURE_SOURCE, KERNEL_SOURCE],
-                         ids=["feature", "kernel"])
-def test_parallel_jobs_byte_identical_ir(source, level):
-    """jobs=4 worklist output is byte-identical to serial at every
-    optimization level, from the same cold start."""
-    opts = getattr(OptOptions, level)()
-    serial = compile_to_ir(source, name="t", config=None)
-    optimize_module(serial, opts, jobs=1)
-    clear_memo()  # the parallel run starts equally cold
-    par = compile_to_ir(source, name="t", config=None)
-    optimize_module(par, opts, jobs=4)
-    verify_module(par)
-    assert module_to_text(par) == module_to_text(serial)
-
-
-@pytest.mark.parametrize("level", ["o1", "o3"])
-def test_parallel_jobs_byte_identical_binary(level):
-    opts = getattr(OptOptions, level)()
-    serial = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(serial, opts, jobs=1)
-    clear_memo()
-    par = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    optimize_module(par, opts, jobs=4)
-    assert compile_ir(par).to_json() == compile_ir(serial).to_json()
-
-
-def test_parallel_canonicalize_byte_identical():
-    serial = compile_to_ir(KERNEL_SOURCE, name="t", config=None)
-    canonicalize_module(serial, jobs=1)
-    clear_memo()
-    par = compile_to_ir(KERNEL_SOURCE, name="t", config=None)
-    canonicalize_module(par, jobs=4)
-    assert module_to_text(par) == module_to_text(serial)
-
-
-def test_parallel_visits_really_fan_out():
-    """Guard against a silent serial fallback: with jobs=4 the pool
-    path must actually run (visits counted, a pool spawned)."""
-    opts = OptOptions.o2()
-    module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    counters = _counters_for(
-        lambda: optimize_module(module, opts, jobs=4))
-    assert counters.get("opt.manager.parallel_visits", 0) > 0
-    assert counters.get("parallel.pool.spawns", 0) >= 1
-
-
-def test_opt_jobs_env_sets_default(monkeypatch):
-    monkeypatch.setenv("REPRO_OPT_JOBS", "3")
-    assert manager_mod.opt_jobs_default() == 3
-    serial = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    monkeypatch.delenv("REPRO_OPT_JOBS")
-    optimize_module(serial, OptOptions.o2())
-    clear_memo()
-    monkeypatch.setenv("REPRO_OPT_JOBS", "4")
-    par = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    counters = _counters_for(
-        lambda: optimize_module(par, OptOptions.o2()))
-    assert counters.get("opt.manager.parallel_visits", 0) > 0
-    assert module_to_text(par) == module_to_text(serial)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_budget_exhausted_function_not_memoized(jobs):
-    """Regression (memo poisoning): a function still changing when the
-    round budget runs out must not enter the fixpoint memo -- neither
-    from a serial visit nor from a pool worker's partial result."""
-    opts = OptOptions(level=2, inline=False, rounds=1)
-    module = compile_to_ir(FEATURE_SOURCE, name="t", config=None)
-    entry_fps = {name: manager_mod.function_fingerprint(f)
-                 for name, f in module.functions.items()}
-    manager = manager_mod.PassManager(
-        module, manager_mod.build_function_pipeline(opts, module),
-        ("opt", opts), rounds=1, jobs=jobs)
-    manager.run()
-    # The single round is not enough for functions the schedule changes.
-    assert manager.unresolved
-    token = (("opt", opts), manager_mod._module_context(module))
-    for name in manager.unresolved:
-        partial_fp = manager_mod.function_fingerprint(
-            module.functions[name])
-        assert not manager_mod._memo_get((token, entry_fps[name]))
-        assert not manager_mod._memo_get((token, partial_fp))
-    # And the unresolved functions keep making progress on a re-run
-    # instead of being skipped off the poisoned entry.
-    counters = _counters_for(lambda: manager_mod.PassManager(
-        module, manager_mod.build_function_pipeline(opts, module),
-        ("opt", opts), rounds=1, jobs=jobs).run())
-    assert _pass_runs(counters)

