@@ -47,7 +47,7 @@ from .binary import BinaryImage
 from .cc import compile_source
 from .core import wytiwyg_lift, wytiwyg_recompile
 from .emu import run_binary, trace_binary
-from .errors import CheckError, StaticCheckError
+from .errors import ReproError, StaticCheckError
 
 
 def _parse_inputs(spec: list[str]) -> list[list]:
@@ -133,10 +133,9 @@ def cmd_serve(args) -> int:
                              jobs=args.jobs, workers=args.workers,
                              queue_depth=args.queue_depth,
                              job_timeout=args.job_timeout)
-    pool = (f", workers={server.workers}" if server.workers else "")
     print(f"repro serve: listening on {args.socket} "
-          f"(store {server.store.root}, jobs={server.jobs}{pool})",
-          file=sys.stderr)
+          f"(store {server.store.root}, jobs={server.jobs}, "
+          f"workers={server.workers})", file=sys.stderr)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -356,21 +355,20 @@ def main(argv: list[str] | None = None) -> int:
                    help="artifact store root (default $REPRO_STORE "
                         "or .repro_store)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan each job's replay sweeps over N worker "
-                        "processes (the pool is shared across jobs)")
-    p.add_argument("--workers", type=int, default=0, metavar="N",
+                   help="fan each job's replay sweeps over N "
+                        "processes (each worker keeps its pool across "
+                        "jobs)")
+    p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="run jobs on a pool of N long-lived worker "
-                        "processes with image affinity "
-                        "(default 0: jobs serialize in-process)")
+                        "processes with image affinity (default 1)")
     p.add_argument("--queue-depth", type=int, default=None, metavar="N",
                    help="bound the scheduler's job queue (default "
                         "4 per worker); submissions past it are "
                         "rejected with a retry hint")
     p.add_argument("--job-timeout", type=float, default=None,
                    metavar="SECONDS",
-                   help="per-job wall-clock limit (needs --workers): "
-                        "an overrunning job fails and its worker is "
-                        "recycled")
+                   help="per-job wall-clock limit: an overrunning job "
+                        "fails and its worker is recycled")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -505,7 +503,8 @@ def main(argv: list[str] | None = None) -> int:
         obs.enable_ledger(args.ledger)
     try:
         status = args.func(args)
-    except CheckError as exc:
+    except ReproError as exc:
+        # Typed toolchain errors are user-facing: one line, exit 2.
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         status = 2
     finally:

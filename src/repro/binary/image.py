@@ -167,24 +167,31 @@ class BinaryImage:
 
     @classmethod
     def from_json(cls, text: str) -> "BinaryImage":
-        doc = json.loads(text)
+        """Parse :meth:`to_json` output; a document that is not one
+        raises :class:`LinkError`."""
 
         def sec(d: dict) -> Section:
             return Section(d["name"], d["base"], bytes.fromhex(d["data"]),
                            d["writable"])
 
-        return cls(
-            text=sec(doc["text"]),
-            data_sections=[sec(d) for d in doc["data_sections"]],
-            entry=doc["entry"],
-            imports=list(doc["imports"]),
-            symbols={k: int(v) for k, v in doc["symbols"].items()},
-            ground_truth=[
-                FrameGroundTruth(
-                    g["func_name"], g["entry"], g["frame_size"],
-                    [StackObject(o["name"], o["offset"], o["size"],
-                                 o["kind"]) for o in g["objects"]])
-                for g in doc["ground_truth"]
-            ],
-            metadata=dict(doc["metadata"]),
-        )
+        try:
+            doc = json.loads(text)
+            return cls(
+                text=sec(doc["text"]),
+                data_sections=[sec(d) for d in doc["data_sections"]],
+                entry=doc["entry"],
+                imports=list(doc["imports"]),
+                symbols={k: int(v) for k, v in doc["symbols"].items()},
+                ground_truth=[
+                    FrameGroundTruth(
+                        g["func_name"], g["entry"], g["frame_size"],
+                        [StackObject(o["name"], o["offset"], o["size"],
+                                     o["kind"]) for o in g["objects"]])
+                    for g in doc["ground_truth"]
+                ],
+                metadata=dict(doc["metadata"]),
+            )
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise LinkError(
+                f"not a binary image document ({type(exc).__name__}: "
+                f"{exc})") from None

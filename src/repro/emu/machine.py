@@ -136,10 +136,7 @@ class Machine:
         rec = _obs_recorder()
         try:
             if self.use_blocks:
-                if rec is not None:
-                    self._run_blocks_observed(rec)
-                else:
-                    self._run_blocks()
+                self._run_blocks(rec)
             else:
                 self._run_steps()
         except ExitProgram as exc:
@@ -155,58 +152,37 @@ class Machine:
         return RunResult(self._halted, bytes(self.libc.stdout),
                          self.cycles, self.instructions)
 
-    def _run_blocks(self) -> None:
+    def _run_blocks(self, rec) -> None:
         """Superblock loop: decode-once blocks of pre-compiled closures.
 
         Coverage callbacks fire once per block per machine — sinks see
         each executed address at least once, and coverage is a set, so
         repeat visits add nothing (the per-step path reports every
         execution; both produce identical coverage sets).
-        """
-        block_at = self.blocks.block_at
-        cpu = self.cpu
-        sink = self.trace_sink
-        seen: set[int] = set()
-        budget = self.max_instructions
-        while self._halted is None:
-            addr = cpu.eip
-            block = block_at(addr)
-            if sink is not None and addr not in seen:
-                seen.add(addr)
-                executed = sink.executed
-                for a in block.addrs:
-                    executed(a)
-            self.instructions += block.count
-            self.cycles += block.cost
-            for op in block.code:
-                op(self)
-            if self.instructions >= budget:
-                raise EmulationError(
-                    f"instruction budget exceeded ({budget})")
 
-    def _run_blocks_observed(self, rec) -> None:
-        """The superblock loop with observability: identical semantics
-        to :meth:`_run_blocks` plus block-cache hit/miss accounting and
-        the hot-block execution profile.  Selected only when a recorder
-        is active, so the disabled path stays untouched."""
+        With a recorder active the loop also keeps the
+        ``emu.hot_blocks`` execution profile, and the block-cache
+        counters are derived from it at run end: misses are the blocks
+        the cache compiled during the run, hits the remaining block
+        executions.
+        """
         blocks = self.blocks
-        block_map = blocks._blocks
         block_at = blocks.block_at
-        hot = rec.registry.profile("emu.hot_blocks").counts
+        hot = (rec.registry.profile("emu.hot_blocks").counts
+               if rec is not None else None)
+        if hot is not None:
+            compiled_before = len(blocks._blocks)
+            executed_before = sum(hot.values())
         cpu = self.cpu
         sink = self.trace_sink
         seen: set[int] = set()
         budget = self.max_instructions
-        hits = misses = 0
         try:
             while self._halted is None:
                 addr = cpu.eip
-                if addr in block_map:
-                    hits += 1
-                else:
-                    misses += 1
                 block = block_at(addr)
-                hot[addr] = hot.get(addr, 0) + 1
+                if hot is not None:
+                    hot[addr] = hot.get(addr, 0) + 1
                 if sink is not None and addr not in seen:
                     seen.add(addr)
                     executed = sink.executed
@@ -220,9 +196,12 @@ class Machine:
                     raise EmulationError(
                         f"instruction budget exceeded ({budget})")
         finally:
-            registry = rec.registry
-            registry.count("emu.block_cache.hit", hits)
-            registry.count("emu.block_cache.miss", misses)
+            if hot is not None:
+                misses = len(blocks._blocks) - compiled_before
+                executions = sum(hot.values()) - executed_before
+                rec.registry.count("emu.block_cache.hit",
+                                   executions - misses)
+                rec.registry.count("emu.block_cache.miss", misses)
 
     def _run_steps(self) -> None:
         """Reference per-step loop (seed semantics, kept for differential

@@ -4,9 +4,10 @@ WYTIWYG's dynamic recovery is exact for traced paths and blind past
 them (paper §4.2, §6).  This package adds the trust boundary between
 tracing and recompilation:
 
-* :mod:`.absint` — VSA-lite abstract interpretation of sp0-relative
-  offsets over the pre-symbolization IR (interval domain, widening at
-  loop headers, memoized in the versioned CFG-analysis cache);
+* :mod:`.absint` — the package's one abstract domain: VSA-lite,
+  region-tagged interval interpretation over the pre-symbolization IR
+  (widening at loop headers), and the sp0-relative frame accesses read
+  off it, memoized in the versioned CFG-analysis cache;
 * :mod:`.corroborate` — diffs the static access set against the
   dynamically recovered :class:`~repro.core.layout.FrameLayout`:
   boundary-straddling accesses are ``unsound-split`` errors, statically

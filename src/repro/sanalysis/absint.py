@@ -1,27 +1,37 @@
-"""VSA-lite abstract interpretation of sp0-relative stack offsets.
+"""VSA-lite abstract interpretation of lifted functions.
 
 Runs over the lifted, canonicalized, *pre-symbolization* IR (the same
-module state :mod:`repro.core.sp0fold` annotates) and computes, for each
-lifted function, the set of frame accesses that are statically provable:
-every load/store whose address is ``sp0 + d`` for an abstract offset
-``d``.
+module state :mod:`repro.core.sp0fold` annotates).  This module holds
+the package's one abstract domain and interpreter; two analyses read
+its facts:
 
-The abstract domain is a two-level interval lattice (Macaw-style
-value-set analysis, cut down to the single region that matters here):
+* :func:`analyze_function` here — the set of statically provable frame
+  accesses of each lifted function: every load/store whose address is
+  ``sp0 + d`` for an abstract offset ``d``;
+* :mod:`.interproc` — per-function summaries of the accesses through
+  every *other* pointer region (parameters and incoming stack-argument
+  slots), propagated over the call graph.
+
+The abstract domain is a region-tagged interval lattice (Macaw-style
+value-set analysis, with one region per pointer source):
 
 * ``BOT`` — unreached;
 * ``NUM [lo, hi]`` — a plain number in the interval (``None`` bounds
   mean +/- infinity);
-* ``SP [lo, hi]`` — ``sp0 + d`` with ``d`` in the interval;
-* ``TOP`` — unknown provenance (could be stack-derived or not).
+* ``PTR region [lo, hi]`` — ``base + d`` with ``d`` in the interval,
+  where ``base`` is ``sp0`` (:data:`SP_REGION`, the threaded stack
+  pointer ``params[0]``), register parameter ``i`` (``("reg", i)``), or
+  the word loaded from pristine incoming stack-argument slot ``j``
+  (``("sarg", j)``, a 4-byte load from ``sp0 + 4 + 4j``);
+* ``TOP`` — unknown provenance (could be any pointer or a number).
 
-Join is interval union per region; joining ``NUM`` with ``SP`` gives
+Join is interval union within one kind and region; any other mix gives
 ``TOP``.  At loop headers (cached :func:`repro.opt.analysis.
 loop_headers`) phi joins are *widened*: any bound that grew between
 iterates jumps to infinity, so the fixed point terminates in a constant
 number of rounds regardless of loop shape.
 
-Accesses whose abstract offset is a single constant are **exact**;
+Frame accesses whose sp0 offset is a single constant are **exact**;
 bounded intervals give a **region**; stack-derived addresses with an
 unbounded interval (array walks whose index flows through memory) are
 **derived** — they keep the constant *anchor* of the base pointer they
@@ -41,7 +51,6 @@ from dataclasses import dataclass, field
 from ..ir.module import Function
 from ..ir.values import (
     BinOp,
-    CallExt,
     Const,
     ICmp,
     Instr,
@@ -60,23 +69,33 @@ def _sp0fold():
     from ..core import sp0fold
     return sp0fold
 
+
 # -- the abstract domain ----------------------------------------------------
+
+#: Region of the threaded stack pointer (``params[0]``): offsets are
+#: sp0-relative.
+SP_REGION = "sp"
 
 BOT = "bot"
 NUM = "num"
-SP = "sp"
+PTR = "ptr"
 TOP = "top"
 
 
 @dataclass(frozen=True)
 class AbsVal:
-    """One abstract value: a region tag plus an interval.
+    """One abstract value: a kind, a region tag and an interval.
 
     ``lo``/``hi`` are inclusive signed bounds; ``None`` means the bound
     is infinite on that side.  ``BOT``/``TOP`` carry no interval.
+    ``region`` is only meaningful for ``kind == PTR``: it is
+    :data:`SP_REGION`, ``("reg", i)`` for register parameter ``i``, or
+    ``("sarg", j)`` for the value loaded from incoming stack-argument
+    slot ``j``.
     """
 
     kind: str
+    region: object = None
     lo: int | None = None
     hi: int | None = None
 
@@ -84,22 +103,21 @@ class AbsVal:
 
     @staticmethod
     def num(lo: int | None, hi: int | None) -> "AbsVal":
-        return AbsVal(NUM, lo, hi)
+        return AbsVal(NUM, None, lo, hi)
 
     @staticmethod
     def const(value: int) -> "AbsVal":
-        return AbsVal(NUM, value, value)
+        return AbsVal(NUM, None, value, value)
 
     @staticmethod
-    def sp(lo: int | None, hi: int | None) -> "AbsVal":
-        return AbsVal(SP, lo, hi)
+    def ptr(region, lo: int | None, hi: int | None) -> "AbsVal":
+        return AbsVal(PTR, region, lo, hi)
 
     # -- predicates ---------------------------------------------------------
 
     @property
-    def is_exact_sp(self) -> bool:
-        return self.kind == SP and self.lo is not None \
-            and self.lo == self.hi
+    def is_exact(self) -> bool:
+        return self.lo is not None and self.lo == self.hi
 
     @property
     def bounded(self) -> bool:
@@ -110,13 +128,13 @@ class AbsVal:
             return self.kind
         lo = "-inf" if self.lo is None else str(self.lo)
         hi = "+inf" if self.hi is None else str(self.hi)
-        base = "sp0+" if self.kind == SP else ""
+        base = f"{self.region}+" if self.kind == PTR else ""
         return f"{base}[{lo}, {hi}]"
 
 
 BOT_V = AbsVal(BOT)
 TOP_V = AbsVal(TOP)
-NUM_TOP = AbsVal(NUM, None, None)
+NUM_TOP = AbsVal(NUM, None, None, None)
 
 
 def _min(a: int | None, b: int | None) -> int | None:
@@ -138,21 +156,23 @@ def _add(a: int | None, b: int | None) -> int | None:
 
 
 def join(a: AbsVal, b: AbsVal) -> AbsVal:
+    """Interval hull within one kind and region; anything mixed is
+    ``TOP``."""
     if a.kind == BOT:
         return b
     if b.kind == BOT:
         return a
     if a.kind == TOP or b.kind == TOP:
         return TOP_V
-    if a.kind != b.kind:
+    if a.kind != b.kind or a.region != b.region:
         return TOP_V
-    return AbsVal(a.kind, _min(a.lo, b.lo), _max(a.hi, b.hi))
+    return AbsVal(a.kind, a.region, _min(a.lo, b.lo), _max(a.hi, b.hi))
 
 
 def widen(old: AbsVal, new: AbsVal) -> AbsVal:
     """Jump any growing bound to infinity (classic interval widening)."""
     if old.kind in (BOT, TOP) or new.kind in (BOT, TOP) \
-            or old.kind != new.kind:
+            or old.kind != new.kind or old.region != new.region:
         return join(old, new)
     lo = old.lo
     if new.lo is None or (lo is not None and new.lo < lo):
@@ -160,7 +180,7 @@ def widen(old: AbsVal, new: AbsVal) -> AbsVal:
     hi = old.hi
     if new.hi is None or (hi is not None and new.hi > hi):
         hi = None
-    return AbsVal(new.kind, lo, hi)
+    return AbsVal(new.kind, new.region, lo, hi)
 
 
 # -- transfer functions -----------------------------------------------------
@@ -178,54 +198,89 @@ def _transfer_binop(instr: BinOp, val) -> AbsVal:
         return BOT_V
     op = instr.opcode
     if op == "add":
-        if a.kind == SP and b.kind == NUM:
-            return AbsVal(SP, _add(a.lo, b.lo), _add(a.hi, b.hi))
-        if a.kind == NUM and b.kind == SP:
-            return AbsVal(SP, _add(b.lo, a.lo), _add(b.hi, a.hi))
+        if a.kind == PTR and b.kind == NUM:
+            return AbsVal(PTR, a.region, _add(a.lo, b.lo), _add(a.hi, b.hi))
+        if a.kind == NUM and b.kind == PTR:
+            return AbsVal(PTR, b.region, _add(b.lo, a.lo), _add(b.hi, a.hi))
         if a.kind == NUM and b.kind == NUM:
-            return AbsVal(NUM, _add(a.lo, b.lo), _add(a.hi, b.hi))
+            return AbsVal(NUM, None, _add(a.lo, b.lo), _add(a.hi, b.hi))
         return TOP_V
     if op == "sub":
-        if a.kind == SP and b.kind == NUM:
+        if a.kind == PTR and b.kind == NUM:
             neg_hi = None if b.lo is None else -b.lo
             neg_lo = None if b.hi is None else -b.hi
-            return AbsVal(SP, _add(a.lo, neg_lo), _add(a.hi, neg_hi))
-        if a.kind == SP and b.kind == SP:
-            # Frame-pointer difference: a plain (unknown) number.
-            return NUM_TOP
+            return AbsVal(PTR, a.region, _add(a.lo, neg_lo),
+                          _add(a.hi, neg_hi))
+        if a.kind == PTR and b.kind == PTR:
+            # Same-region pointer difference is a plain number; mixed
+            # regions are meaningless arithmetic.
+            return NUM_TOP if a.region == b.region else TOP_V
         if a.kind == NUM and b.kind == NUM:
             neg_hi = None if b.lo is None else -b.lo
             neg_lo = None if b.hi is None else -b.hi
-            return AbsVal(NUM, _add(a.lo, neg_lo), _add(a.hi, neg_hi))
+            return AbsVal(NUM, None, _add(a.lo, neg_lo), _add(a.hi, neg_hi))
         return TOP_V
     if op == "mul":
         if a.kind == NUM and b.kind == NUM:
             if a.bounded and b.bounded:
                 prods = [a.lo * b.lo, a.lo * b.hi,
                          a.hi * b.lo, a.hi * b.hi]
-                return AbsVal(NUM, min(prods), max(prods))
+                return AbsVal(NUM, None, min(prods), max(prods))
             return NUM_TOP
-        return TOP_V
-    # and/or/xor/shifts/div/rem on stack pointers lose the offset but
-    # not the region (alignment masks stay frame-relative); on numbers
-    # they stay numbers.
-    if a.kind == SP or b.kind == SP:
-        return AbsVal(SP, None, None)
+        # A scaled "pointer" was really an integer we mis-tagged at a
+        # pristine argument-slot load (indices arrive the same way
+        # addresses do); degrade to a number so `base + 4*i` keeps the
+        # base's region instead of collapsing to TOP.
+        return NUM_TOP
+    # and/or/xor/shifts/div/rem on a pointer lose the offset but not
+    # the region (alignment masks stay frame-relative); on numbers they
+    # stay numbers.
+    if a.kind == PTR:
+        return AbsVal(PTR, a.region, None, None)
+    if b.kind == PTR:
+        return AbsVal(PTR, b.region, None, None)
     return NUM_TOP
 
 
 class _Interpreter:
+    """Region-tagged interval interpretation of one lifted function.
+
+    Seeds every parameter as the root of its own pointer region and
+    materializes a fresh region for each load of a pristine incoming
+    stack-argument slot.  One pass assigns in program order; further
+    rounds only matter for back edges (phi at loop heads), where
+    widening bounds the iterate count.
+    """
+
     def __init__(self, func: Function):
         self.func = func
         self.values: dict[Value, AbsVal] = {}
         self.headers = loop_headers(func)
+        #: Incoming arg slots this function itself overwrites lose
+        #: their pristine-argument meaning (scratch reuse).
+        self.clobbered_slots: set[int] = set()
 
     def val(self, v: Value) -> AbsVal:
         if isinstance(v, Const):
             return AbsVal.const(v.signed)
-        if self.func.params and v is self.func.params[0]:
-            return AbsVal.sp(0, 0)
+        if self.func.params:
+            if v is self.func.params[0]:
+                return AbsVal.ptr(SP_REGION, 0, 0)
+            for i, p in enumerate(self.func.params[1:], start=1):
+                if v is p:
+                    return AbsVal.ptr(("reg", i), 0, 0)
         return self.values.get(v, BOT_V)
+
+    def _slot_of(self, fact: AbsVal) -> int | None:
+        """Incoming stack-argument slot index of an exact sp0 address
+        (``sp0 + 4 + 4j``; slot 0 sits just above the return address)."""
+        if fact.kind != PTR or fact.region != SP_REGION \
+                or not fact.is_exact:
+            return None
+        e = fact.lo
+        if e is None or e < 4 or (e - 4) % 4:
+            return None
+        return (e - 4) // 4
 
     def _transfer(self, instr: Instr) -> AbsVal:
         if isinstance(instr, BinOp):
@@ -243,32 +298,40 @@ class _Interpreter:
                 if src.kind == NUM:
                     neg_hi = None if src.lo is None else -src.lo
                     neg_lo = None if src.hi is None else -src.hi
-                    return AbsVal(NUM, neg_lo, neg_hi)
-                return TOP_V if src.kind in (SP, TOP) else BOT_V
+                    return AbsVal(NUM, None, neg_lo, neg_hi)
+                return TOP_V if src.kind in (PTR, TOP) else BOT_V
             rng = _UNARY_RANGES.get(instr.opcode)
             if rng is not None:
-                return AbsVal(NUM, rng[0], rng[1])
+                return AbsVal(NUM, None, rng[0], rng[1])
             return NUM_TOP
         if isinstance(instr, ICmp):
-            return AbsVal(NUM, 0, 1)
-        if isinstance(instr, (Load, CallExt)):
-            # Loaded (or externally produced) words are plain numbers;
-            # adding one to a stack pointer keeps the SP region with an
-            # unknown offset, which is exactly the derived-access shape.
+            return AbsVal(NUM, None, 0, 1)
+        if isinstance(instr, Load):
+            slot = self._slot_of(self.val(instr.addr))
+            if slot is not None and slot not in self.clobbered_slots \
+                    and instr.size == 4:
+                return AbsVal.ptr(("sarg", slot), 0, 0)
+            # Other loaded words are plain numbers; adding one to a
+            # stack pointer keeps the region with an unknown offset,
+            # which is exactly the derived-access shape.
             return NUM_TOP
         if instr.has_result:
             return NUM_TOP
         return BOT_V
 
     def run(self) -> dict[Value, AbsVal]:
-        # One pass assigns in program order; further rounds only matter
-        # for back edges (phi at loop heads), where widening bounds the
-        # iterate count.
         for _round in range(16):
             changed = False
             for block in self.func.blocks:
                 at_header = block in self.headers
                 for instr in block.instrs:
+                    if isinstance(instr, Store):
+                        slot = self._slot_of(self.val(instr.addr))
+                        if slot is not None \
+                                and slot not in self.clobbered_slots:
+                            self.clobbered_slots.add(slot)
+                            changed = True
+                        continue
                     new = self._transfer(instr)
                     old = self.values.get(instr, BOT_V)
                     if at_header and isinstance(instr, Phi):
@@ -364,7 +427,8 @@ def _analyze(func: Function) -> FrameAccessSet:
     out = FrameAccessSet(func.name)
     if not _sp0fold().is_lifted_function(func):
         return out
-    values = _Interpreter(func).run()
+    interp = _Interpreter(func)
+    interp.run()
     offsets = func.meta.get("sp0_offsets")
     if offsets is None:
         offsets = _sp0fold().compute_sp0_offsets(func)
@@ -380,14 +444,10 @@ def _analyze(func: Function) -> FrameAccessSet:
                 addr, width, kind = instr.addr, instr.size, "store"
             else:
                 continue
-            fact = values.get(addr, BOT_V)
-            if isinstance(addr, Const):
-                fact = AbsVal.const(addr.signed)
-            elif func.params and addr is func.params[0]:
-                fact = AbsVal.sp(0, 0)
-            if fact.kind != SP:
+            fact = interp.val(addr)
+            if fact.kind != PTR or fact.region != SP_REGION:
                 continue
-            if fact.is_exact_sp:
+            if fact.is_exact:
                 out.add(StaticAccess(fact.lo, fact.lo + width, width,
                                      kind, exact=True,
                                      provenance=provenance))

@@ -11,12 +11,12 @@ extent splits or truncates an object invisibly.  This module closes
 that gap with whole-module machinery (Macaw's reusable-analysis shape,
 EFACT's call-site signature recovery; see PAPERS.md):
 
-* **pointer-region interpretation** (:class:`_PInterpreter`) — the
-  VSA-lite interval domain of :mod:`.absint` generalized from the
-  single ``sp0`` region to one region per *pointer source*: the ``sp``
-  parameter, each register parameter, and each incoming stack-argument
-  slot (a load from ``sp0 + 4 + 4j`` in the lifted ABI).  Accesses
-  through a region produce region-relative footprints;
+* **pointer-region facts** — the region-tagged interval interpretation
+  of :mod:`.absint` (the package's one abstract domain) tags every
+  value with its *pointer source*: the ``sp`` parameter, each register
+  parameter, and each incoming stack-argument slot (a load from
+  ``sp0 + 4 + 4j`` in the lifted ABI).  Accesses through a region
+  produce region-relative footprints;
 * **local summaries** (:class:`LocalSummary`) — one pure, per-function
   fact bundle: region footprints, the abstract value stored into every
   exact frame slot (the outgoing-argument evidence), internal and
@@ -61,23 +61,26 @@ from dataclasses import dataclass, field
 from .. import obs
 from ..ir.module import Function, Module
 from ..ir.values import (
-    BinOp,
     Call,
     CallExt,
     CallInd,
-    Const,
     GlobalRef,
-    ICmp,
-    Instr,
     Load,
-    Phi,
     Ret,
     Store,
-    Unary,
     Value,
 )
-from ..opt.analysis import cached_analysis, loop_headers
-from .absint import FrameAccessSet, _add, _max, _min
+from ..opt.analysis import cached_analysis
+from .absint import (
+    BOT_V,
+    NUM,
+    PTR,
+    SP_REGION,
+    AbsVal,
+    FrameAccessSet,
+    _Interpreter,
+    join,
+)
 from .corroborate import WideningSuggestion, _clamp_set
 from .report import (
     ESCAPED_SPLIT,
@@ -104,256 +107,6 @@ def interproc_enabled() -> bool:
     interprocedural corroboration passes."""
     return os.environ.get("REPRO_INTERPROC", "1") \
         not in ("0", "false", "off", "no")
-
-
-# -- the region-tagged abstract domain ---------------------------------------
-
-#: Region of the threaded stack pointer (``params[0]``): offsets are
-#: sp0-relative, exactly the :mod:`.absint` SP region.
-SP_REGION = "sp"
-
-BOT = "bot"
-NUM = "num"
-PTR = "ptr"
-TOP = "top"
-
-
-@dataclass(frozen=True)
-class PVal:
-    """An abstract value: region tag + inclusive interval.
-
-    ``region`` is :data:`SP_REGION`, ``("reg", i)`` for register
-    parameter ``i``, or ``("sarg", j)`` for the value loaded from
-    incoming stack-argument slot ``j``; it is only meaningful for
-    ``kind == "ptr"``.
-    """
-
-    kind: str
-    region: object = None
-    lo: int | None = None
-    hi: int | None = None
-
-    @staticmethod
-    def num(lo: int | None, hi: int | None) -> "PVal":
-        return PVal(NUM, None, lo, hi)
-
-    @staticmethod
-    def const(value: int) -> "PVal":
-        return PVal(NUM, None, value, value)
-
-    @staticmethod
-    def ptr(region, lo: int | None, hi: int | None) -> "PVal":
-        return PVal(PTR, region, lo, hi)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
-
-    @property
-    def bounded(self) -> bool:
-        return self.lo is not None and self.hi is not None
-
-    def __repr__(self) -> str:
-        if self.kind in (BOT, TOP):
-            return self.kind
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "+inf" if self.hi is None else str(self.hi)
-        base = f"{self.region}+" if self.kind == PTR else ""
-        return f"{base}[{lo}, {hi}]"
-
-
-BOT_P = PVal(BOT)
-TOP_P = PVal(TOP)
-NUM_TOP_P = PVal(NUM, None, None, None)
-
-
-def pjoin(a: PVal, b: PVal) -> PVal:
-    if a.kind == BOT:
-        return b
-    if b.kind == BOT:
-        return a
-    if a.kind == TOP or b.kind == TOP:
-        return TOP_P
-    if a.kind != b.kind or a.region != b.region:
-        return TOP_P
-    return PVal(a.kind, a.region, _min(a.lo, b.lo), _max(a.hi, b.hi))
-
-
-def pwiden(old: PVal, new: PVal) -> PVal:
-    if old.kind in (BOT, TOP) or new.kind in (BOT, TOP) \
-            or old.kind != new.kind or old.region != new.region:
-        return pjoin(old, new)
-    lo = old.lo
-    if new.lo is None or (lo is not None and new.lo < lo):
-        lo = None
-    hi = old.hi
-    if new.hi is None or (hi is not None and new.hi > hi):
-        hi = None
-    return PVal(new.kind, new.region, lo, hi)
-
-
-_UNARY_RANGES = {
-    "sext8": (-128, 127), "sext16": (-32768, 32767),
-    "zext8": (0, 255), "zext16": (0, 65535),
-    "trunc8": (0, 255), "trunc16": (0, 65535),
-}
-
-
-def _transfer_binop(instr: BinOp, val) -> PVal:
-    a, b = val(instr.lhs), val(instr.rhs)
-    if a.kind == BOT or b.kind == BOT:
-        return BOT_P
-    op = instr.opcode
-    if op == "add":
-        if a.kind == PTR and b.kind == NUM:
-            return PVal(PTR, a.region, _add(a.lo, b.lo), _add(a.hi, b.hi))
-        if a.kind == NUM and b.kind == PTR:
-            return PVal(PTR, b.region, _add(b.lo, a.lo), _add(b.hi, a.hi))
-        if a.kind == NUM and b.kind == NUM:
-            return PVal(NUM, None, _add(a.lo, b.lo), _add(a.hi, b.hi))
-        return TOP_P
-    if op == "sub":
-        if a.kind == PTR and b.kind == NUM:
-            neg_hi = None if b.lo is None else -b.lo
-            neg_lo = None if b.hi is None else -b.hi
-            return PVal(PTR, a.region, _add(a.lo, neg_lo),
-                        _add(a.hi, neg_hi))
-        if a.kind == PTR and b.kind == PTR:
-            # Same-region pointer difference is a plain number; mixed
-            # regions are meaningless arithmetic.
-            return NUM_TOP_P if a.region == b.region else TOP_P
-        if a.kind == NUM and b.kind == NUM:
-            neg_hi = None if b.lo is None else -b.lo
-            neg_lo = None if b.hi is None else -b.hi
-            return PVal(NUM, None, _add(a.lo, neg_lo), _add(a.hi, neg_hi))
-        return TOP_P
-    if op == "mul":
-        if a.kind == NUM and b.kind == NUM:
-            if a.bounded and b.bounded:
-                prods = [a.lo * b.lo, a.lo * b.hi,
-                         a.hi * b.lo, a.hi * b.hi]
-                return PVal(NUM, None, min(prods), max(prods))
-            return NUM_TOP_P
-        # A scaled "pointer" was really an integer we mis-tagged at a
-        # pristine argument-slot load (indices arrive the same way
-        # addresses do); degrade to a number so `base + 4*i` keeps the
-        # base's region instead of collapsing to TOP.
-        return NUM_TOP_P
-    # Masks/shifts on a pointer keep the region, lose the offset.
-    if a.kind == PTR:
-        return PVal(PTR, a.region, None, None)
-    if b.kind == PTR:
-        return PVal(PTR, b.region, None, None)
-    return NUM_TOP_P
-
-
-class _PInterpreter:
-    """Region-tagged interval interpretation of one lifted function.
-
-    Mirrors :class:`repro.sanalysis.absint._Interpreter` (same rounds,
-    same loop-header widening) but seeds *every* parameter as the root
-    of its own pointer region and materializes a fresh region for each
-    load of a pristine incoming stack-argument slot.
-    """
-
-    def __init__(self, func: Function):
-        self.func = func
-        self.values: dict[Value, PVal] = {}
-        self.headers = loop_headers(func)
-        #: Incoming arg slots this function itself overwrites lose
-        #: their pristine-argument meaning (scratch reuse).
-        self.clobbered_slots: set[int] = set()
-
-    def val(self, v: Value) -> PVal:
-        if isinstance(v, Const):
-            return PVal.const(v.signed)
-        if self.func.params:
-            if v is self.func.params[0]:
-                return PVal.ptr(SP_REGION, 0, 0)
-            for i, p in enumerate(self.func.params[1:], start=1):
-                if v is p:
-                    return PVal.ptr(("reg", i), 0, 0)
-        return self.values.get(v, BOT_P)
-
-    def _slot_of(self, fact: PVal) -> int | None:
-        """Incoming stack-argument slot index of an exact sp0 address
-        (``sp0 + 4 + 4j``; slot 0 sits just above the return address)."""
-        if fact.kind != PTR or fact.region != SP_REGION \
-                or not fact.is_exact:
-            return None
-        e = fact.lo
-        if e is None or e < 4 or (e - 4) % 4:
-            return None
-        return (e - 4) // 4
-
-    def _transfer(self, instr: Instr) -> PVal:
-        if isinstance(instr, BinOp):
-            return _transfer_binop(instr, self.val)
-        if isinstance(instr, Phi):
-            out = BOT_P
-            for op in instr.ops:
-                if op is instr:
-                    continue
-                out = pjoin(out, self.val(op))
-            return out
-        if isinstance(instr, Unary):
-            if instr.opcode == "neg":
-                src = self.val(instr.src)
-                if src.kind == NUM:
-                    neg_hi = None if src.lo is None else -src.lo
-                    neg_lo = None if src.hi is None else -src.hi
-                    return PVal(NUM, None, neg_lo, neg_hi)
-                return TOP_P if src.kind in (PTR, TOP) else BOT_P
-            rng = _UNARY_RANGES.get(instr.opcode)
-            if rng is not None:
-                return PVal(NUM, None, rng[0], rng[1])
-            return NUM_TOP_P
-        if isinstance(instr, ICmp):
-            return PVal(NUM, None, 0, 1)
-        if isinstance(instr, Load):
-            slot = self._slot_of(self.val(instr.addr))
-            if slot is not None and slot not in self.clobbered_slots \
-                    and instr.size == 4:
-                return PVal.ptr(("sarg", slot), 0, 0)
-            return NUM_TOP_P
-        if isinstance(instr, CallExt):
-            return NUM_TOP_P
-        if instr.has_result:
-            return NUM_TOP_P
-        return BOT_P
-
-    def run(self) -> dict[Value, PVal]:
-        for _round in range(16):
-            changed = False
-            for block in self.func.blocks:
-                at_header = block in self.headers
-                for instr in block.instrs:
-                    if isinstance(instr, Store):
-                        slot = self._slot_of(self.val(instr.addr))
-                        if slot is not None \
-                                and slot not in self.clobbered_slots:
-                            self.clobbered_slots.add(slot)
-                            changed = True
-                        continue
-                    new = self._transfer(instr)
-                    old = self.values.get(instr, BOT_P)
-                    if at_header and isinstance(instr, Phi):
-                        new = pwiden(old, new)
-                    else:
-                        new = pjoin(old, new)
-                    if new != old:
-                        self.values[instr] = new
-                        changed = True
-            if not changed:
-                return self.values
-        for block in self.func.blocks:
-            for instr in block.instrs:
-                if instr.has_result:
-                    new = self._transfer(instr)
-                    old = self.values.get(instr, BOT_P)
-                    if pjoin(old, new) != old:
-                        self.values[instr] = TOP_P
-        return self.values
 
 
 # -- local summaries ---------------------------------------------------------
@@ -387,12 +140,12 @@ class SlotValue:
     global-address constant there (pointer-ness evidence the interval
     domain alone cannot carry)."""
 
-    pval: PVal
+    value: AbsVal
     global_addr: bool = False
 
     @property
     def is_pointer(self) -> bool:
-        return self.pval.kind == PTR or self.global_addr
+        return self.value.kind == PTR or self.global_addr
 
 
 @dataclass
@@ -401,7 +154,7 @@ class CallSite:
 
     callees: tuple[str, ...]          # direct: the lifted name
     sp_off: int | None                # exact sp0 offset of args[0]
-    reg_args: dict = field(default_factory=dict)   # reg index -> PVal
+    reg_args: dict = field(default_factory=dict)   # reg index -> AbsVal
     indirect: bool = False
     target_interval: tuple | None = None   # indirect: (lo, hi) or None
 
@@ -465,21 +218,11 @@ def _build_local_summary(func: Function) -> LocalSummary:
     out = LocalSummary(func.name)
     if not _sp0fold().is_lifted_function(func):
         return out
-    interp = _PInterpreter(func)
-    values = interp.run()
+    interp = _Interpreter(func)
+    interp.run()
+    val = interp.val
 
-    def val(v: Value) -> PVal:
-        if isinstance(v, Const):
-            return PVal.const(v.signed)
-        if func.params:
-            if v is func.params[0]:
-                return PVal.ptr(SP_REGION, 0, 0)
-            for i, p in enumerate(func.params[1:], start=1):
-                if v is p:
-                    return PVal.ptr(("reg", i), 0, 0)
-        return values.get(v, BOT_P)
-
-    def record_access(fact: PVal, width: int, kind: str) -> None:
+    def record_access(fact: AbsVal, width: int, kind: str) -> None:
         if fact.kind != PTR:
             return
         lo = fact.lo if fact.lo is not None else 0
@@ -500,7 +243,7 @@ def _build_local_summary(func: Function) -> LocalSummary:
             out.slot_values[off] = SlotValue(pv, glob)
         else:
             out.slot_values[off] = SlotValue(
-                pjoin(prev.pval, pv), prev.global_addr or glob)
+                join(prev.value, pv), prev.global_addr or glob)
 
     for block in func.blocks:
         for instr in block.instrs:
@@ -518,7 +261,7 @@ def _build_local_summary(func: Function) -> LocalSummary:
                     # cannot pin: it escapes to an unknown consumer.
                     out.stored_regions.add(vfact.region)
             elif isinstance(instr, Call):
-                sp_fact = val(instr.args[0]) if instr.args else BOT_P
+                sp_fact = val(instr.args[0]) if instr.args else BOT_V
                 site = CallSite(
                     callees=(instr.callee.name,),
                     sp_off=sp_fact.lo if sp_fact.kind == PTR
@@ -529,7 +272,7 @@ def _build_local_summary(func: Function) -> LocalSummary:
                 out.calls.append(site)
             elif isinstance(instr, CallInd):
                 tfact = val(instr.target)
-                sp_fact = val(instr.args[0]) if instr.args else BOT_P
+                sp_fact = val(instr.args[0]) if instr.args else BOT_V
                 site = CallSite(
                     callees=(),
                     sp_off=sp_fact.lo if sp_fact.kind == PTR
@@ -697,11 +440,11 @@ def _slot_value(summary: LocalSummary, site: CallSite,
     return summary.slot_values.get(site.sp_off + 4 + 4 * slot)
 
 
-def _arg_pval(summary: LocalSummary, site: CallSite, region) -> PVal | None:
+def _arg_value(summary: LocalSummary, site: CallSite, region) -> AbsVal | None:
     """The abstract value the caller passed for a callee region."""
     if isinstance(region, tuple) and region[0] == "sarg":
         sv = _slot_value(summary, site, region[1])
-        return sv.pval if sv is not None else None
+        return sv.value if sv is not None else None
     if isinstance(region, tuple) and region[0] == "reg":
         return site.reg_args.get(region[1])
     return None
@@ -720,7 +463,7 @@ def _propagate_one(fs: FunctionSummary,
                 if c_region == SP_REGION:
                     continue   # the sp threading is ABI linkage, not
                                # an escaped variable address
-                passed = _arg_pval(fs.local, site, c_region)
+                passed = _arg_value(fs.local, site, c_region)
                 if passed is None or passed.kind != PTR:
                     continue
                 region, delta = passed.region, passed.lo
@@ -819,7 +562,7 @@ def check_escapes(func_name: str,
             for c_region, entries in callee_fs.footprints.items():
                 if c_region == SP_REGION:
                     continue
-                passed = _arg_pval(summary.local, site, c_region)
+                passed = _arg_value(summary.local, site, c_region)
                 if passed is None or passed.kind != PTR \
                         or passed.region != SP_REGION \
                         or not passed.is_exact:
@@ -941,7 +684,7 @@ def _slot_is_pointer(sv: SlotValue,
     """True/False when the evidence is conclusive, None when not."""
     if sv.is_pointer:
         return True
-    pv = sv.pval
+    pv = sv.value
     if pv.kind == NUM and pv.is_exact:
         return any(lo <= pv.lo < hi for lo, hi in ranges)
     return None

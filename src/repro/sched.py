@@ -1,13 +1,11 @@
 """repro.sched — the serve daemon's multi-process job scheduler.
 
-In single-lock mode the daemon executes every job under one in-process
-lock: the published fork-pool context is process-global, so two jobs
-cannot safely overlap in one process — and the daemon's throughput
-ceiling is one job at a time regardless of core count.
-
-This module moves job execution into a pool of **long-lived worker
-processes**.  Each worker is forked once at scheduler start and then
-runs many jobs, keeping its replay fork pool between jobs.  Reuse of
+Every daemon job executes in a pool of **long-lived worker processes**
+(one by default).  The published fork-pool context is process-global,
+so two jobs cannot safely overlap in one process; the pool gives each
+job a process of its own.  Each worker is forked once at scheduler
+start and then runs many jobs, keeping its replay fork pool between
+jobs.  Reuse of
 results and per-input traces lands via the shared content-addressed
 :class:`~repro.store.ArtifactStore` on disk (its atomic
 tmp+``os.replace`` writes make concurrent puts safe; last writer wins
@@ -42,8 +40,8 @@ per job over the existing payload protocol
 so parent-side reports aggregate the whole pool.
 
 Like :mod:`repro.parallel`, workers are forked (``fork`` start
-method); on platforms without it the serve daemon falls back to its
-single-lock in-process path, which computes the same results.
+method), which every POSIX platform — the only ones with the daemon's
+``AF_UNIX`` socket — provides.
 """
 
 from __future__ import annotations
@@ -84,12 +82,10 @@ def affinity_worker(image_key: str, workers: int) -> int:
         return sum(image_key.encode()) % workers
 
 
-# -- job execution (runs in the worker process; also used inline by the
-# -- single-lock serve path so both modes share one code path) -----------
+# -- job execution (runs in the worker process) ---------------------------
 
 def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
-                replay_pool=None,
-                image: BinaryImage | None = None) -> dict:
+                replay_pool=None) -> dict:
     """Run one job spec and return the response fields it produced.
 
     ``spec["op"]`` selects the job type: ``"recompile"`` (default) runs
@@ -97,9 +93,6 @@ def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
     liveness/latency probe that optionally sleeps ``spec["sleep"]``
     seconds — it exercises dispatch, timeout and drain machinery
     without pipeline cost (used by the scheduler tests).
-
-    The in-process serve path passes the already-parsed ``image`` to
-    skip a JSON round trip; workers parse it from ``spec["image_json"]``.
     """
     if spec.get("op") == "probe":
         if spec.get("sleep"):
@@ -107,8 +100,7 @@ def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
         return {"served": "probe", "stats": {}, "image_key":
                 spec.get("image_key", ""), "result_key": "",
                 "fallback": False, "notes": [], "coverage": {}}
-    if image is None:
-        image = BinaryImage.from_json(spec["image_json"])
+    image = BinaryImage.from_json(spec["image_json"])
     runs = decode_runs(spec.get("inputs", []))
     options = spec.get("options") or {}
     served = incremental_recompile(

@@ -12,17 +12,15 @@ Why a daemon beats N one-shot processes:
 
 * the content-addressed :class:`~repro.store.ArtifactStore` persists
   traces and results across requests (and across daemon restarts);
-* the serving processes keep the shared replay
-  :class:`~repro.parallel.ForkPool` between jobs, and an input
+* jobs execute on a pool of long-lived worker processes
+  (:mod:`repro.sched`; ``--workers N``, default 1), each keeping its
+  replay :class:`~repro.parallel.ForkPool` between jobs, and an input
   addition re-traces only the new input;
-* with ``--workers N`` jobs execute on a pool of long-lived worker
-  processes (:mod:`repro.sched`): distinct images recompile
-  concurrently, repeat requests for one image are routed to the same
-  worker (image-affinity dispatch with work-stealing fallback), and a
-  bounded queue applies backpressure.  Without ``--workers`` (the
-  default) jobs serialize on one in-process lock — the two modes
-  produce byte-identical artifacts because every reuse layer is
-  content-pinned.
+* distinct images recompile concurrently, repeat requests for one
+  image are routed to the same worker (image-affinity dispatch with
+  work-stealing fallback), and a bounded queue applies backpressure.
+  Any worker count produces byte-identical artifacts because every
+  reuse layer is content-pinned.
 
 Protocol: line-delimited JSON — one request object per line, one
 response object per line, over ``AF_UNIX``.  Requests carry an ``op``:
@@ -34,8 +32,8 @@ response object per line, over ``AF_UNIX``.  Requests carry an ``op``:
               ``options`` (``optimize``/``check``/``static_widen``/
               ``hybrid``), ``output`` (path for the recovered image)
               and ``return_artifact`` (inline the recovered JSON).
-``status``    daemon counters + store stats + campaign list (+
-              scheduler snapshot under ``sched`` in pool mode)
+``status``    daemon counters + store stats + campaign list +
+              scheduler snapshot under ``sched``
 ``campaign``  one campaign's summary (``name``)
 ``shutdown``  stop the daemon (responds first, drains in-flight jobs,
               then exits; new submits are rejected during the drain)
@@ -47,7 +45,7 @@ DESIGN.md.
 
 Observability: ledger events ``job.submitted`` / ``job.started`` /
 ``job.finished`` (plus ``job.timeout`` and the ``sched.*`` dispatch
-stream in pool mode), a ``job.execute`` span per job, and the store's
+stream), a ``job.execute`` span per job, and the store's
 ``store.hit`` / ``store.miss`` / ``store.put`` stream — ``repro obs
 diff`` over two reports shows exactly what a warm run reused.
 """
@@ -56,7 +54,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import os
 import socket
 import socketserver
@@ -66,13 +63,10 @@ from pathlib import Path
 from . import obs
 from .binary.image import BinaryImage
 from .errors import RemoteJobError, ServeError
-from .parallel import ForkPool
-from .sched import JobScheduler, execute_job
+from .sched import JobScheduler
 from .store import ArtifactStore, decode_runs, encode_runs, image_key
 
 __all__ = ["RecompileServer", "ServeClient", "serve_forever"]
-
-log = logging.getLogger("repro.serve")
 
 #: Protocol revision, echoed by ``ping`` so clients can detect drift.
 PROTOCOL_VERSION = 1
@@ -90,17 +84,15 @@ def _limit_text(limit: int) -> str:
 class RecompileServer:
     """The daemon: a threading Unix-socket server plus a job scheduler.
 
-    One instance per socket path.  Connections are handled on threads.
-    Job execution is either serialized on :attr:`_job_lock` (default:
-    the replay pool context is process-global) or dispatched to a
-    :class:`~repro.sched.JobScheduler` worker pool (``workers >= 1``),
-    where each worker owns its replay pool and campaigns serialize
-    per-name only.
+    One instance per socket path.  Connections are handled on threads;
+    every job is dispatched to the :class:`~repro.sched.JobScheduler`
+    worker pool, where each worker owns its replay pool.  Campaigns
+    serialize per-name only.
     """
 
     def __init__(self, socket_path: str | Path,
                  store: ArtifactStore | str | Path | None = None,
-                 jobs: int = 1, workers: int = 0,
+                 jobs: int = 1, workers: int = 1,
                  queue_depth: int | None = None,
                  job_timeout: float | None = None):
         self.socket_path = Path(socket_path)
@@ -109,32 +101,11 @@ class RecompileServer:
         else:
             self.store = ArtifactStore(store)
         self.jobs = max(1, int(jobs))
-        self.workers = max(0, int(workers))
+        self.workers = max(1, int(workers))
         self.max_request_bytes = MAX_REQUEST_BYTES
-        if job_timeout is not None and self.workers < 1:
-            raise ServeError(
-                "a per-job wall-clock limit needs the worker pool "
-                "(use workers >= 1): an in-process job cannot be "
-                "killed mid-flight")
-        self.sched: JobScheduler | None = None
-        if self.workers >= 1:
-            try:
-                self.sched = JobScheduler(
-                    self.workers, store_root=self.store.root,
-                    jobs=self.jobs, max_depth=queue_depth,
-                    job_timeout=job_timeout)
-            except ValueError:
-                # No fork start method on this platform: fall back to
-                # the single-lock mode, which computes the same thing.
-                log.warning("worker pool unavailable (no fork start "
-                            "method); serving single-lock")
-                self.workers = 0
-        #: Replay fork pool shared across requests in single-lock mode
-        #: (scheduler workers each own one instead).
-        self.replay_pool = (ForkPool(self.jobs)
-                            if self.jobs > 1 and self.sched is None
-                            else None)
-        self._job_lock = threading.Lock()
+        self.sched = JobScheduler(
+            self.workers, store_root=self.store.root, jobs=self.jobs,
+            max_depth=queue_depth, job_timeout=job_timeout)
         self._state_lock = threading.Lock()
         self._campaign_locks: dict[str, threading.Lock] = {}
         self._job_seq = 0
@@ -155,9 +126,8 @@ class RecompileServer:
                 raise ServeError(
                     f"another daemon is serving {self.socket_path}")
             self.socket_path.unlink()
-        if self.sched is not None:
-            # Fork the worker pool before any handler threads exist.
-            self.sched.start()
+        # Fork the worker pool before any handler threads exist.
+        self.sched.start()
         outer = self
 
         class Handler(socketserver.StreamRequestHandler):
@@ -193,11 +163,10 @@ class RecompileServer:
         self._shutdown.set()
 
         def _stop():
-            if self.sched is not None:
-                try:
-                    self.sched.close(drain=True)
-                except Exception:
-                    pass
+            try:
+                self.sched.close(drain=True)
+            except Exception:
+                pass
             server = self._server
             if server is not None:
                 server.shutdown()
@@ -205,10 +174,7 @@ class RecompileServer:
         threading.Thread(target=_stop, daemon=True).start()
 
     def close(self) -> None:
-        if self.sched is not None:
-            self.sched.close(drain=False)
-        if self.replay_pool is not None:
-            self.replay_pool.close()
+        self.sched.close(drain=False)
         try:
             self.socket_path.unlink()
         except OSError:
@@ -271,14 +237,12 @@ class RecompileServer:
         if op == "status":
             with self._state_lock:
                 stats = dict(self.stats)
-            doc = {"ok": True, "op": "status", "jobs": self.jobs,
-                   "workers": self.workers,
-                   "stats": stats, "store": dict(self.store.stats),
-                   "store_root": str(self.store.root),
-                   "campaigns": self.store.list_campaigns()}
-            if self.sched is not None:
-                doc["sched"] = self.sched.snapshot()
-            return doc
+            return {"ok": True, "op": "status", "jobs": self.jobs,
+                    "workers": self.workers,
+                    "stats": stats, "store": dict(self.store.stats),
+                    "store_root": str(self.store.root),
+                    "campaigns": self.store.list_campaigns(),
+                    "sched": self.sched.snapshot()}
         if op == "campaign":
             name = request.get("name")
             campaign = self.store.load_campaign(name) if name else None
@@ -335,15 +299,11 @@ class RecompileServer:
         obs.event("job.submitted", job=job_id,
                   campaign=campaign_name, inputs=len(runs))
         obs.count("serve.jobs.submitted")
-        # Single-lock mode serializes whole jobs.  Pool mode only
-        # serializes same-campaign submissions (the accumulate-then-run
-        # contract needs it); distinct images run fully concurrently.
-        if self.sched is None:
-            guard = self._job_lock
-        elif campaign_name:
-            guard = self._campaign_mutex(campaign_name)
-        else:
-            guard = contextlib.nullcontext()
+        # Only same-campaign submissions serialize (the
+        # accumulate-then-run contract needs it); distinct images run
+        # fully concurrently.
+        guard = (self._campaign_mutex(campaign_name) if campaign_name
+                 else contextlib.nullcontext())
         with guard:
             campaign = (self.store.load_campaign(campaign_name)
                         if campaign_name else None)
@@ -379,28 +339,24 @@ class RecompileServer:
                 "options": options,
                 "output": request.get("output"),
                 "return_artifact": bool(request.get("return_artifact")),
+                "image_json": image.to_json(),
             }
             obs.event("job.started", job=job_id, image=img_key,
                       campaign=campaign_name, inputs=len(runs))
             with obs.span("job.execute", job=job_id,
                           campaign=campaign_name or "",
                           inputs=len(runs)) as sp:
-                if self.sched is None:
-                    result = execute_job(
-                        spec, self.store, jobs=self.jobs,
-                        replay_pool=self.replay_pool, image=image)
-                    result["ok"] = True
-                else:
-                    spec["image_json"] = image.to_json()
-                    result = self.sched.submit(spec)
-                    if not result.get("ok"):
-                        raise RemoteJobError(
-                            result.get("error", "job failed"),
-                            remote_kind=result.get("kind",
-                                                   "RemoteJobError"))
+                result = self.sched.submit(spec)
+                if not result.get("ok"):
+                    raise RemoteJobError(
+                        result.get("error", "job failed"),
+                        remote_kind=result.get("kind", "RemoteJobError"))
                 if obs.enabled():
-                    sp.set(worker=result.get("worker", -1),
-                           **result["stats"])
+                    sp.set(worker=result["worker"], **result["stats"])
+            job_stats = result["stats"]
+            self.store.absorb(hit=job_stats["store_hits"],
+                              miss=job_stats["store_misses"],
+                              put=job_stats["store_puts"])
             with self._state_lock:
                 self.stats["jobs"] += 1
                 self.stats[f"served_{result['served']}"] += 1
@@ -409,19 +365,18 @@ class RecompileServer:
                 campaign.coverage = dict(result["coverage"])
                 self.store.save_campaign(campaign)
             obs.count(f"serve.jobs.{result['served']}")
-        obs.event("job.finished", job=job_id, **result["stats"])
+        obs.event("job.finished", job=job_id, **job_stats)
         response: dict = {
             "ok": True, "op": "submit", "job": job_id,
             "served": result["served"],
-            "stats": result["stats"],
+            "stats": job_stats,
             "image_key": result["image_key"],
             "result_key": result["result_key"],
             "fallback": result["fallback"],
             "notes": result["notes"],
             "coverage": result["coverage"],
+            "worker": result["worker"],
         }
-        if result.get("worker") is not None:
-            response["worker"] = result["worker"]
         if campaign_name:
             response["campaign"] = campaign.to_dict()
         if result.get("accuracy") is not None:
@@ -523,7 +478,7 @@ class ServeClient:
 def serve_forever(socket_path: str | Path,
                   store: str | Path | None = None,
                   jobs: int = 1,
-                  workers: int = 0,
+                  workers: int = 1,
                   queue_depth: int | None = None,
                   job_timeout: float | None = None) -> RecompileServer:
     """Convenience entry: build a server and block serving requests."""

@@ -206,6 +206,14 @@ class ArtifactStore:
         with self._lock:
             self.stats[what] += 1
 
+    def absorb(self, hit: int = 0, miss: int = 0, put: int = 0) -> None:
+        """Fold counts made by another process's instance over the same
+        root (a serve worker's) into :attr:`stats`."""
+        with self._lock:
+            self.stats["hit"] += hit
+            self.stats["miss"] += miss
+            self.stats["put"] += put
+
     def _path(self, kind: str, key: str) -> Path:
         return self.root / kind / f"{key}.pkl"
 

@@ -213,3 +213,33 @@ def test_obs_regress_command_gates(tmp_path, capsys):
                  "--fresh", slow, "--tolerance", "1.5"]) == 1
     out = capsys.readouterr().out
     assert "REGRESSED" in out and "FAIL" in out
+
+
+# -- typed errors: one line on stderr, exit 2, never a traceback -------------
+
+
+def _assert_one_line_error(capsys, command):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"repro {command}: "), err
+    assert "\n" not in err and "Traceback" not in err
+
+
+def test_compile_error_is_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.c"
+    bad.write_text("int main( {")
+    assert main(["compile", str(bad), "-o",
+                 str(tmp_path / "bad.img.json")]) == 2
+    _assert_one_line_error(capsys, "compile")
+
+
+def test_submit_to_missing_socket_is_one_line(tmp_path, capsys):
+    assert main(["submit", "--socket", str(tmp_path / "absent.sock"),
+                 "--ping"]) == 2
+    _assert_one_line_error(capsys, "submit")
+
+
+def test_malformed_image_is_one_line(tmp_path, capsys):
+    doc = tmp_path / "not-an-image.json"
+    doc.write_text('{"x":1}')
+    assert main(["run", str(doc)]) == 2
+    _assert_one_line_error(capsys, "run")

@@ -64,6 +64,9 @@ def test_emulator_and_interpreter_metrics(report):
     assert counters["emu.mem.fast_path"] > 0
     hot = report["metrics"]["profiles"]["emu.hot_blocks"]
     assert hot["total"] > 0 and hot["unique"] > 0
+    # Every profiled block execution is exactly one cache lookup.
+    assert counters["emu.block_cache.hit"] \
+        + counters["emu.block_cache.miss"] == hot["total"]
     assert len(hot["top"]) <= 10 and hot["top"]
     # The refinement stages execute the lifted IR on every input.
     assert report["metrics"]["profiles"]["ir.func_calls"]["total"] > 0

@@ -5,11 +5,16 @@ from repro.sanalysis import AbsVal, analyze_function
 from repro.sanalysis.absint import (
     BOT_V,
     NUM_TOP,
+    SP_REGION,
     TOP_V,
     _Interpreter,
     join,
     widen,
 )
+
+#: One region of each pointer-source shape: the lattice laws below hold
+#: for every one of them.
+REGIONS = (SP_REGION, ("reg", 1), ("sarg", 0))
 
 
 def lifted_function(name="fn_1000"):
@@ -20,26 +25,40 @@ def lifted_function(name="fn_1000"):
     return f
 
 
+def sp(lo, hi):
+    return AbsVal.ptr(SP_REGION, lo, hi)
+
+
 # -- domain algebra ----------------------------------------------------------
 
 
 def test_join_bot_is_identity():
-    v = AbsVal.sp(-8, -8)
-    assert join(BOT_V, v) == v
-    assert join(v, BOT_V) == v
+    for region in REGIONS:
+        v = AbsVal.ptr(region, -8, -8)
+        assert join(BOT_V, v) == v
+        assert join(v, BOT_V) == v
 
 
 def test_join_top_dominates():
     assert join(TOP_V, AbsVal.const(3)) == TOP_V
+    for region in REGIONS:
+        assert join(TOP_V, AbsVal.ptr(region, 0, 0)) == TOP_V
 
 
 def test_join_mixed_regions_is_top():
-    assert join(AbsVal.const(4), AbsVal.sp(0, 0)) == TOP_V
+    for region in REGIONS:
+        v = AbsVal.ptr(region, 0, 0)
+        assert join(AbsVal.const(4), v) == TOP_V
+        for other in REGIONS:
+            if other != region:
+                assert join(v, AbsVal.ptr(other, 0, 0)) == TOP_V
 
 
 def test_join_same_region_takes_hull():
-    assert join(AbsVal.sp(-16, -12), AbsVal.sp(-8, -4)) \
-        == AbsVal.sp(-16, -4)
+    for region in REGIONS:
+        assert join(AbsVal.ptr(region, -16, -12),
+                    AbsVal.ptr(region, -8, -4)) \
+            == AbsVal.ptr(region, -16, -4)
 
 
 def test_join_infinite_bounds_absorb():
@@ -48,16 +67,18 @@ def test_join_infinite_bounds_absorb():
 
 
 def test_widen_growing_bound_to_infinity():
-    old = AbsVal.sp(-16, -16)
-    grown = AbsVal.sp(-16, -12)
-    assert widen(old, grown) == AbsVal.sp(-16, None)
-    shrunk_lo = AbsVal.sp(-20, -16)
-    assert widen(old, shrunk_lo) == AbsVal.sp(None, -16)
+    for region in REGIONS:
+        old = AbsVal.ptr(region, -16, -16)
+        grown = AbsVal.ptr(region, -16, -12)
+        assert widen(old, grown) == AbsVal.ptr(region, -16, None)
+        shrunk_lo = AbsVal.ptr(region, -20, -16)
+        assert widen(old, shrunk_lo) == AbsVal.ptr(region, None, -16)
 
 
 def test_widen_stable_value_is_fixed_point():
-    v = AbsVal.sp(-8, -4)
-    assert widen(v, v) == v
+    for region in REGIONS:
+        v = AbsVal.ptr(region, -8, -4)
+        assert widen(v, v) == v
 
 
 # -- transfer functions ------------------------------------------------------
@@ -71,8 +92,8 @@ def test_sp_plus_const_is_exact():
     b.ret([Const(0), ])
     f.nresults = 1
     values = _Interpreter(f).run()
-    assert values[addr] == AbsVal.sp(-8, -8)
-    assert values[addr].is_exact_sp
+    assert values[addr] == sp(-8, -8)
+    assert values[addr].is_exact
 
 
 def test_sp_minus_const_and_nested_chain():
@@ -84,12 +105,12 @@ def test_sp_minus_const_and_nested_chain():
     b.ret([Const(0)])
     f.nresults = 1
     values = _Interpreter(f).run()
-    assert values[base] == AbsVal.sp(-16, -16)
-    assert values[addr] == AbsVal.sp(-12, -12)
+    assert values[base] == sp(-16, -16)
+    assert values[addr] == sp(-12, -12)
 
 
 def test_loaded_index_degrades_to_derived_shape():
-    # sp + (load ...) keeps the SP region but loses the offset — the
+    # sp + (load ...) keeps the sp region but loses the offset — the
     # derived-access shape the corroboration clamp handles.
     f = lifted_function()
     b = Builder(f)
@@ -101,7 +122,7 @@ def test_loaded_index_degrades_to_derived_shape():
     f.nresults = 1
     values = _Interpreter(f).run()
     assert values[idx] == NUM_TOP
-    assert values[addr].kind == "sp"
+    assert values[addr].region == SP_REGION
     assert not values[addr].bounded
 
 
@@ -130,7 +151,7 @@ def test_loop_phi_widens_and_terminates():
     b.ret([Const(0)])
     f.nresults = 1
     values = _Interpreter(f).run()
-    assert values[phi].kind == "sp"
+    assert values[phi].region == SP_REGION
     assert values[phi].lo == -64 and values[phi].hi is None
 
 

@@ -26,10 +26,10 @@
 # byte-identity enforced in the tests themselves).
 #
 # The scheduler benches run as a fifth pass and emit
-# BENCH_sched.json: K=4 concurrent distinct-image campaigns on the
-# multi-worker daemon vs the single-lock daemon (speedup floor scales
-# with the core count; byte identity and affinity hit rate asserted in
-# the test itself).
+# BENCH_sched.json: K=4 concurrent distinct-image campaigns on a
+# four-worker daemon vs a one-worker daemon (speedup floor scales with
+# the core count; byte identity across worker counts and the affinity
+# hit rate asserted in the test itself).
 #
 # The static-analysis benches run as a sixth pass and emit
 # BENCH_sanalysis.json: cold vs warm interprocedural summary sweeps
