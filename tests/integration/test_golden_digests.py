@@ -11,6 +11,10 @@ pipeline or lowering that alters a single output byte fails here.
 * ``wytiwyg_recompile`` over the three examples (with the inputs their
   static-check smoke uses) and over xalancbmk under the two legacy
   personalities exercises canonicalize, symbolize, optimize and lower.
+* ``wytiwyg_recompile`` over several *distinct* inputs (the examples
+  under three personalities, and gcc on its ref run plus extra
+  expression runs) pins how the replay stages fold the instrumented
+  runs of every input into one set of layouts and signatures.
 
 If a change is *meant* to alter output, regenerate the digests and say
 so in the change description.
@@ -76,6 +80,41 @@ EXAMPLE_DIGESTS = {
     "undertrace": ([[3]], "0473d7b39e7a71796fabc8b6d2c06c6e722c1d510d4b95ff48bf27dc0be3cf4e"),
 }
 
+#: Example programs, recompiled on three distinct inputs each.
+MULTI_INPUT_EXAMPLES = {
+    "quickstart": [[5], [-2], [40]],
+    "escape": [[3], [8], [5]],
+    "undertrace": [[3], [16], [9]],
+}
+
+MULTI_INPUT_EXAMPLE_DIGESTS = {
+    ("gcc12", "3"): {
+        "quickstart": "108e1b54a8cbc19e041399a75200de0468ced773fb60752f3cc21730e838ffab",
+        "escape": "3079e10df025000de4e7cfc8afa8d94b97a5707fd637d0d18c9fc712d1c328cb",
+        "undertrace": "0b913a56dd3c97261792616695944ea4d0fb2b3a0c0a361f0a86dcf0da580b9c",
+    },
+    ("gcc44", "3"): {
+        "quickstart": "156030ac2b43537905f7693cd0e4eb236a7b6ad8ad4504dd4c44a4fc69033bd6",
+        "escape": "b34297e23cbed68be1ca617dd78fc08a9bfdb89d3d5a32db8e4fb32bd1eae82e",
+        "undertrace": "31f1f01203772c26cd15eb4c422356e0dd26ea48b8b94a4df9b434951565e7b9",
+    },
+    ("gcc12", "0"): {
+        "quickstart": "3597beae4803668019be6207b861109a6832de496eb1db7da90b8046a9d738a1",
+        "escape": "c5c0ddf2ea3b7a0b1bc9f1ae84428518c301c67e5ca29d30bd34952782b12655",
+        "undertrace": "491629b7ecd85ed77bee6b61b26ab4fd2aa7fea52010adba4403c1498a43c6f3",
+    },
+}
+
+#: Expression runs recompiled beside gcc's ref run.
+GCC_EXTRA_INPUTS = [
+    [b"3 * (4 + 5) - 6 / 2"],
+    [b"100 % 7 + 2 * 2", b"(1 + 1) * (2 + 2) * (3 + 3)"],
+    [b"999 - 111 * 3 + (42 / 6)", b"7 * 7 - 7", b"((8 + 2) * 5) % 13"],
+]
+
+GCC_MULTI_INPUT_DIGEST = (
+    "0f781bcb7fae0ed264406a608e6d8510b2094e7ff90bd04d7434f82c39593362")
+
 #: xalancbmk on its ref inputs under the two legacy personalities.
 WORKLOAD_RECOMPILE_DIGESTS = {
     ("gcc44", "3"): "cb5b5a97b04b8bc026cf2b495ec51e96734caa0a31f4ec6d38cdffb3d59453d1",
@@ -114,3 +153,26 @@ def test_xalancbmk_recompile_digests(compiler, opt):
     assert not result.fallback
     assert _digest(result.recovered) == WORKLOAD_RECOMPILE_DIGESTS[
         (compiler, opt)]
+
+
+@pytest.mark.parametrize("compiler,opt,name", sorted(
+    (compiler, opt, name)
+    for (compiler, opt), digests in MULTI_INPUT_EXAMPLE_DIGESTS.items()
+    for name in digests))
+def test_example_multi_input_recompile_digests(compiler, opt, name):
+    source = (EXAMPLES / f"{name}.c").read_text()
+    image = compile_source(source, compiler, opt, name)
+    result = wytiwyg_recompile(image, MULTI_INPUT_EXAMPLES[name],
+                               check=False)
+    assert not result.fallback
+    assert _digest(result.recovered) == MULTI_INPUT_EXAMPLE_DIGESTS[
+        (compiler, opt)][name]
+
+
+def test_gcc_multi_input_recompile_digest():
+    workload = WORKLOADS["gcc"]
+    image = compile_source(workload.source, "gcc12", "3", "gcc")
+    result = wytiwyg_recompile(image, workload.inputs() + GCC_EXTRA_INPUTS,
+                               check=False)
+    assert not result.fallback
+    assert _digest(result.recovered) == GCC_MULTI_INPUT_DIGEST
