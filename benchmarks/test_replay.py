@@ -1,6 +1,6 @@
 """Replay-engine benches: refinement wall time with the replay
-optimizations (dedup + fingerprint-skipped validation + ``jobs``
-fan-out) against the pre-engine baseline sweep behaviour.
+optimizations (dedup + fingerprint-skipped validation) against the
+pre-engine baseline sweep behaviour.
 
 Runs as the third ``tools/bench.sh`` pass and lands in
 ``BENCH_replay.json``: each bench's ``extra_info`` records the baseline
@@ -10,11 +10,10 @@ saved baseline.
 
 ``REPRO_REPLAY_BASELINE=1`` restores the old behaviour (every input
 replayed at every stage, every validation sweep executed); the headline
-speedup is optimized ``jobs=4`` vs that baseline.  On a single-core
-runner the parallel fan-out contributes nothing — the dedup and skip
-wins alone must carry the ratio, which is why the workload carries
-duplicated inputs (as real trace sets do: the same seed input is
-typically traced under several configurations).
+speedup is the optimized serial engine vs that baseline.  The dedup and
+skip wins carry the ratio, which is why the workload carries duplicated
+inputs (as real trace sets do: the same seed input is typically traced
+under several configurations).
 """
 
 import os
@@ -59,7 +58,7 @@ def workload():
     return image, traces
 
 
-def _timed_recompile(image, traces, jobs, baseline=False):
+def _timed_recompile(image, traces, baseline=False):
     old = os.environ.get("REPRO_REPLAY_BASELINE")
     if baseline:
         os.environ["REPRO_REPLAY_BASELINE"] = "1"
@@ -68,7 +67,7 @@ def _timed_recompile(image, traces, jobs, baseline=False):
     try:
         start = time.perf_counter()
         result = wytiwyg_recompile(image, INPUTS, traces=traces,
-                                   allow_fallback=False, jobs=jobs)
+                                   allow_fallback=False)
         return time.perf_counter() - start, result
     finally:
         if old is None:
@@ -78,40 +77,37 @@ def _timed_recompile(image, traces, jobs, baseline=False):
 
 
 def test_bench_replay_speedup(benchmark, workload):
-    """Optimized refinement (jobs=4) vs the pre-engine baseline; the
-    outputs must be byte-identical and the win >= 1.5x."""
+    """Optimized refinement vs the pre-engine baseline; the outputs
+    must be byte-identical and the win >= 1.5x."""
     image, traces = workload
 
     baseline_s, baseline_result = _timed_recompile(
-        image, traces, jobs=1, baseline=True)
-    serial_s, serial_result = _timed_recompile(image, traces, jobs=1)
+        image, traces, baseline=True)
 
     obs.enable(reset=True)
     try:
-        jobs4_s, jobs4_result = benchmark.pedantic(
-            lambda: _timed_recompile(image, traces, jobs=4),
+        serial_s, serial_result = benchmark.pedantic(
+            lambda: _timed_recompile(image, traces),
             rounds=1, iterations=1)
         counters = dict(obs.recorder().registry.counters)
     finally:
         obs.disable()
 
-    # Functional equivalence: every configuration recompiles the same
-    # binary (the replay engine's determinism contract).
+    # Functional equivalence: the optimized engine recompiles the same
+    # binary as the baseline sweep (the replay engine's determinism
+    # contract).
     assert serial_result.recovered.to_json() == \
         baseline_result.recovered.to_json()
-    assert jobs4_result.recovered.to_json() == \
-        serial_result.recovered.to_json()
-    assert not jobs4_result.fallback
+    assert not serial_result.fallback
 
     skipped = counters.get("replay.validations_skipped", 0)
     deduped = counters.get("replay.deduped", 0)
     assert skipped >= 1, "no-op varargs stage must skip its validation"
     assert deduped == len(INPUTS) - len(DISTINCT)
 
-    speedup = baseline_s / jobs4_s
+    speedup = baseline_s / serial_s
     benchmark.extra_info["baseline_seconds"] = baseline_s
     benchmark.extra_info["serial_seconds"] = serial_s
-    benchmark.extra_info["jobs4_seconds"] = jobs4_s
     benchmark.extra_info["speedup_vs_baseline"] = speedup
     benchmark.extra_info["validations_skipped"] = skipped
     # Three refinement validation sweeps per pipeline run.
@@ -120,4 +116,4 @@ def test_bench_replay_speedup(benchmark, workload):
     benchmark.extra_info["replay_runs"] = counters.get("replay.runs", 0)
     assert speedup >= 1.5, (
         f"replay engine speedup {speedup:.2f}x < 1.5x "
-        f"(baseline {baseline_s:.2f}s, jobs=4 {jobs4_s:.2f}s)")
+        f"(baseline {baseline_s:.2f}s, serial {serial_s:.2f}s)")

@@ -47,7 +47,7 @@ from .binary import BinaryImage
 from .cc import compile_source
 from .core import wytiwyg_lift, wytiwyg_recompile
 from .emu import run_binary, trace_binary
-from .errors import ReproError, StaticCheckError
+from .errors import ReproError, StaticCheckError, UsageError
 
 
 def _parse_inputs(spec: list[str]) -> list[list]:
@@ -57,11 +57,15 @@ def _parse_inputs(spec: list[str]) -> list[list]:
         if item == "/":
             runs.append([])
         elif item.startswith("int:"):
-            runs[-1].append(int(item[4:], 0))
+            try:
+                runs[-1].append(int(item[4:], 0))
+            except ValueError:
+                raise UsageError(f"bad input spec {item!r}: "
+                                 f"int:N needs an integer") from None
         elif item.startswith("bytes:"):
             runs[-1].append(item[6:].encode())
         else:
-            raise SystemExit(f"bad input spec {item!r} "
+            raise UsageError(f"bad input spec {item!r} "
                              f"(use int:N, bytes:TEXT, or /)")
     return runs
 
@@ -96,12 +100,12 @@ def cmd_recompile(args) -> int:
                 from .store import ArtifactStore
                 result = incremental_recompile(
                     image, runs, ArtifactStore(args.store),
-                    jobs=args.jobs, check=args.check)
+                    check=args.check)
                 print(f"  store: served={result.stats.served} "
                       f"traces reused={result.stats.traces_reused} "
                       f"recorded={result.stats.traces_recorded}")
             else:
-                result = wytiwyg_recompile(image, runs, jobs=args.jobs,
+                result = wytiwyg_recompile(image, runs,
                                            check=args.check)
         except StaticCheckError as exc:
             print(f"static check gate aborted recompilation: {exc}",
@@ -130,11 +134,11 @@ def cmd_recompile(args) -> int:
 def cmd_serve(args) -> int:
     from .serve import RecompileServer
     server = RecompileServer(args.socket, store=args.store,
-                             jobs=args.jobs, workers=args.workers,
+                             workers=args.workers,
                              queue_depth=args.queue_depth,
                              job_timeout=args.job_timeout)
     print(f"repro serve: listening on {args.socket} "
-          f"(store {server.store.root}, jobs={server.jobs}, "
+          f"(store {server.store.root}, "
           f"workers={server.workers})", file=sys.stderr)
     try:
         server.serve_forever()
@@ -157,7 +161,7 @@ def cmd_submit(args) -> int:
         response = client.campaign(args.campaign_info)
     else:
         if args.image is None and args.campaign is None:
-            raise SystemExit("submit needs an IMAGE (or --campaign "
+            raise UsageError("submit needs an IMAGE (or --campaign "
                              "with a stored image, or --ping/--status/"
                              "--shutdown)")
         runs = _parse_inputs(args.input) if args.input else []
@@ -183,7 +187,7 @@ def _parse_size(text: str) -> int:
     try:
         return int(float(text) * (factor or 1))
     except ValueError:
-        raise SystemExit(f"bad size {text!r}: use bytes or a K/M/G "
+        raise UsageError(f"bad size {text!r}: use bytes or a K/M/G "
                          f"suffix (e.g. 512M)") from None
 
 
@@ -207,8 +211,7 @@ def cmd_store_gc(args) -> int:
 def cmd_layout(args) -> int:
     image = BinaryImage.from_json(Path(args.image).read_text())
     runs = _parse_inputs(args.input)
-    result = wytiwyg_recompile(image, runs, optimize=False,
-                               jobs=args.jobs)
+    result = wytiwyg_recompile(image, runs, optimize=False)
     for name, layout in sorted(result.layouts.items()):
         if not layout.variables:
             continue
@@ -228,7 +231,7 @@ def cmd_check(args) -> int:
     runs = _parse_inputs(args.input)
     traces = trace_binary(image, runs)
     _module, _layouts, _notes, report = wytiwyg_lift(
-        traces, jobs=args.jobs, static_widen=args.widen)
+        traces, static_widen=args.widen)
     print(report.render())
     if args.json:
         Path(args.json).write_text(
@@ -253,7 +256,6 @@ def cmd_explain(args) -> int:
     try:
         result = wytiwyg_recompile(
             image, runs, optimize=False, collect_accuracy=False,
-            jobs=args.jobs,
             static_widen=True if args.widen else None)
         events = (led.events if led.path is None
                   else obs.read_events(led.path))
@@ -330,9 +332,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--pipeline", default="wytiwyg",
                    choices=("wytiwyg", "binrec", "secondwrite"))
     p.add_argument("--input", nargs="*", default=[])
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan replay sweeps out over N worker processes "
-                        "(output is byte-identical to --jobs 1)")
     p.add_argument("--check", nargs="?", const="1", default=None,
                    metavar="MODE",
                    help="arm the static check gate: error findings "
@@ -354,10 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--store", default=None, metavar="DIR",
                    help="artifact store root (default $REPRO_STORE "
                         "or .repro_store)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan each job's replay sweeps over N "
-                        "processes (each worker keeps its pool across "
-                        "jobs)")
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="run jobs on a pool of N long-lived worker "
                         "processes with image affinity (default 1)")
@@ -423,8 +418,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("layout", help="print recovered stack layouts")
     p.add_argument("image")
     p.add_argument("--input", nargs="*", default=[])
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan replay sweeps out over N worker processes")
     p.set_defaults(func=cmd_layout)
 
     p = sub.add_parser(
@@ -432,8 +425,6 @@ def main(argv: list[str] | None = None) -> int:
         help="static corroboration + sanitizer findings for an image")
     p.add_argument("image")
     p.add_argument("--input", nargs="*", default=[])
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan replay sweeps out over N worker processes")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 on warnings as well as errors")
     p.add_argument("--widen", action="store_true",
@@ -457,8 +448,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="apply coverage-gap widening suggestions "
                         "(REPRO_STATIC_WIDEN) so their ledger events "
                         "appear in the chain")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="fan replay sweeps out over N worker processes")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser(
@@ -503,8 +492,9 @@ def main(argv: list[str] | None = None) -> int:
         obs.enable_ledger(args.ledger)
     try:
         status = args.func(args)
-    except ReproError as exc:
-        # Typed toolchain errors are user-facing: one line, exit 2.
+    except (ReproError, OSError) as exc:
+        # Typed toolchain errors and unreadable/unwritable paths are
+        # user-facing: one line, exit 2.
         print(f"repro {args.command}: {exc}", file=sys.stderr)
         status = 2
     finally:

@@ -26,10 +26,8 @@ inputs.
 All dynamic re-execution goes through one
 :class:`~repro.replay.ReplayEngine` per pipeline run: traced inputs are
 deduplicated once, validation sweeps are skipped when a stage left the
-module's content fingerprint unchanged, and with ``jobs > 1`` the
-validation and instrumented-bounds sweeps fan out over a process pool
-(results merge deterministically, so the recompiled binary is
-byte-identical across ``jobs`` settings).
+module's content fingerprint unchanged, and every sweep replays the
+distinct inputs serially.
 
 Observability: with :mod:`repro.obs` enabled every stage above runs
 inside a named span (``stage.trace`` ... ``stage.recompile``) recording
@@ -142,9 +140,7 @@ def module_stats(module: Module) -> dict[str, int]:
 def wytiwyg_lift(traces: TraceSet,
                  validate: bool = True,
                  hybrid: bool = False,
-                 jobs: int = 1,
                  static_widen: bool | None = None,
-                 replay_pool=None,
                  ) -> tuple[Module, dict[str, FrameLayout],
                             list[str], CheckReport]:
     """Run the refinement pipeline on merged traces; returns the
@@ -163,32 +159,13 @@ def wytiwyg_lift(traces: TraceSet,
     analysis so statically-added paths see sensible signatures.  Traced
     inputs keep their functional guarantee; nearby untraced paths become
     best-effort instead of trapping.
-
-    ``jobs > 1`` fans the validation sweeps and the instrumented bounds
-    runs out over a process pool.  The symbolized module is
-    byte-identical to a serial run either way.  ``replay_pool`` lends
-    the engine a caller-owned :class:`~repro.parallel.ForkPool` (the
-    long-lived serve daemon shares one across requests); the engine
-    then does not shut it down on close.
     """
     if not traces.inputs:
         raise CheckError(
             "no traced inputs: the dynamic pipeline needs at least one "
             "traced run to recover layouts (pass --input, or an empty "
             "input list '' for an input-less program)")
-    engine = ReplayEngine(traces, jobs=jobs, pool=replay_pool)
-    try:
-        return _lift_with_engine(engine, traces, validate, hybrid,
-                                 static_widen)
-    finally:
-        engine.close()
-
-
-def _lift_with_engine(engine: ReplayEngine, traces: TraceSet,
-                      validate: bool, hybrid: bool,
-                      static_widen: bool | None,
-                      ) -> tuple[Module, dict[str, FrameLayout],
-                                 list[str], CheckReport]:
+    engine = ReplayEngine(traces)
     static_widen = _resolve_static_widen(static_widen)
     report = CheckReport()
     notes: list[str] = []
@@ -394,18 +371,14 @@ def wytiwyg_recompile(image: BinaryImage,
                       allow_fallback: bool = True,
                       hybrid: bool = False,
                       traces: TraceSet | None = None,
-                      jobs: int = 1,
                       check: bool | str | None = None,
-                      static_widen: bool | None = None,
-                      replay_pool=None) -> WytiwygResult:
+                      static_widen: bool | None = None) -> WytiwygResult:
     """End-to-end WYTIWYG: trace, refine, symbolize, optimize,
     recompile.  Falls back to the unsymbolized (BinRec) pipeline if
     symbolization fails functional validation.
 
     Pass ``traces`` (a TraceSet of ``image`` over ``inputs``) to reuse
     an existing or cached trace instead of re-executing the binary.
-    ``jobs`` fans validation and bounds replay out over that many
-    worker processes.  The result is byte-identical to ``jobs=1``.
 
     ``check`` (default: ``$REPRO_CHECK``) arms the static gate: with a
     truthy value, ``error``-severity findings abort the pipeline with
@@ -429,8 +402,7 @@ def wytiwyg_recompile(image: BinaryImage,
                        coverage=len(traces.executed))
         try:
             module, layouts, notes, report = wytiwyg_lift(
-                traces, hybrid=hybrid, jobs=jobs,
-                static_widen=static_widen, replay_pool=replay_pool)
+                traces, hybrid=hybrid, static_widen=static_widen)
             fallback = False
         except SymbolizeError as exc:
             if not allow_fallback:

@@ -99,9 +99,7 @@ def pipeline_options_tag(optimize: bool = True,
                          hybrid: bool = False) -> str:
     """The options part of a result key.
 
-    Only options that change the *artifact* participate; the execution
-    knob ``jobs`` is byte-identity-neutral and deliberately excluded,
-    so a parallel server and a serial one share entries.
+    Only options that change the *artifact* participate.
     """
     return options_tag(optimize=optimize, check=check,
                        static_widen=static_widen, hybrid=hybrid)
@@ -145,8 +143,6 @@ def incremental_recompile(image: BinaryImage,
                           check: bool | str | None = None,
                           static_widen: bool | None = None,
                           hybrid: bool = False,
-                          jobs: int = 1,
-                          replay_pool=None,
                           collect_accuracy: bool = True) -> ServedResult:
     """Store-backed ``wytiwyg_recompile``: same answer, amortized cost.
 
@@ -187,8 +183,8 @@ def incremental_recompile(image: BinaryImage,
     result = wytiwyg_recompile(
         image, [list(items) for items in runs],
         optimize=optimize, collect_accuracy=collect_accuracy,
-        hybrid=hybrid, traces=traces, jobs=jobs, check=check,
-        static_widen=static_widen, replay_pool=replay_pool)
+        hybrid=hybrid, traces=traces, check=check,
+        static_widen=static_widen)
     coverage = _coverage_summary(traces)
     store.put("result", rkey, {
         "image_json": result.recovered.to_json(),

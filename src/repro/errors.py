@@ -82,6 +82,11 @@ class WorkloadError(ReproError):
     """Raised when a workload program or its inputs are inconsistent."""
 
 
+class UsageError(ReproError):
+    """Raised when a command-line argument cannot be parsed (an input
+    spec such as ``int:abc``, a malformed size)."""
+
+
 class ServeError(ReproError):
     """Raised by the recompilation service (:mod:`repro.serve`): a
     malformed request, a rejected job, or a transport failure between

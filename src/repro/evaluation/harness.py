@@ -116,32 +116,24 @@ def _outputs_match(image_a, image_b, inputs,
 
 def measure_cell(workload: Workload, compiler: str, opt_level: str,
                  use_cache: bool = True,
-                 include_secondwrite: bool = True,
-                 replay_jobs: int = 1) -> CellResult:
+                 include_secondwrite: bool = True) -> CellResult:
     """Measure one Table-1 cell (with on-disk caching).
 
     With observability enabled, the cell runs inside an ``eval.cell``
     span, its wall time lands in the ``eval.cell_seconds`` timer, and
     the per-cell JSON cache reports ``eval.cell_cache.hit``/``.miss``.
-
-    ``replay_jobs`` fans the WYTIWYG pipeline's validation and bounds
-    replay out over worker processes (see ``repro.replay``); the result
-    is byte-identical to the serial default.  It composes with the
-    cell-level ``sweep(jobs=N)`` pool — keep the product within the
-    core count.
     """
     with obs.span("eval.cell", workload=workload.name,
                   compiler=compiler, opt_level=opt_level) as cell_span, \
             obs.timed("eval.cell_seconds"):
         result = _measure_cell(workload, compiler, opt_level, use_cache,
-                               include_secondwrite, cell_span,
-                               replay_jobs)
+                               include_secondwrite, cell_span)
     return result
 
 
 def _measure_cell(workload: Workload, compiler: str, opt_level: str,
                   use_cache: bool, include_secondwrite: bool,
-                  cell_span, replay_jobs: int = 1) -> CellResult:
+                  cell_span) -> CellResult:
     cache_file = _cache_dir() / (_cell_key(workload, compiler,
                                            opt_level) + ".json")
     if use_cache:
@@ -184,14 +176,12 @@ def _measure_cell(workload: Workload, compiler: str, opt_level: str,
     # WYTIWYG: full refinement lifting (ground truth read only by the
     # accuracy evaluation, never by the pipeline).
     if ecache is None:
-        wyt = wytiwyg_recompile(image, inputs, traces=traced(image),
-                                jobs=replay_jobs)
+        wyt = wytiwyg_recompile(image, inputs, traces=traced(image))
     else:
         wyt = ecache.memo(
             "wytiwyg", ecache.key(image, inputs, "wytiwyg"),
             lambda: wytiwyg_recompile(image, inputs,
-                                      traces=traced(image),
-                                      jobs=replay_jobs))
+                                      traces=traced(image)))
     result.wytiwyg_cycles = _total_cycles(wyt.recovered, inputs)
     result.wytiwyg_match = _outputs_match(image, wyt.recovered, inputs)
     result.wytiwyg_fallback = wyt.fallback
@@ -226,7 +216,7 @@ def _measure_cell_task(task):
     back alongside the result so the parent can merge them.
     """
     name, compiler, opt_level, use_cache, include_secondwrite, \
-        observe, replay_jobs = task
+        observe = task
     if observe:
         # Reset per task: pool workers are reused, and a forked worker
         # also inherits the parent's pre-fork data — either would be
@@ -234,8 +224,7 @@ def _measure_cell_task(task):
         obs.enable(reset=True)
     obs.fork_begin()
     result = measure_cell(WORKLOADS[name], compiler, opt_level,
-                          use_cache, include_secondwrite,
-                          replay_jobs=replay_jobs)
+                          use_cache, include_secondwrite)
     payload = obs.export_payload() if observe else None
     return (name, compiler, opt_level), result, payload
 
@@ -245,7 +234,6 @@ def sweep(workload_names: tuple[str, ...] | None = None,
           include_secondwrite: bool = True,
           progress=None,
           jobs: int = 1,
-          replay_jobs: int = 1,
           ) -> dict[tuple[str, str, str], CellResult]:
     """Measure a grid of cells; returns {(workload, compiler, opt): ...}.
 
@@ -256,10 +244,6 @@ def sweep(workload_names: tuple[str, ...] | None = None,
     in the parent, each worker records with its own registry and the
     parent merges every worker's metrics and spans on completion, so
     ``obs.export`` aggregates the whole sweep.
-
-    ``replay_jobs`` is forwarded to every cell (see ``measure_cell``);
-    it parallelizes *within* the WYTIWYG pipeline and composes with the
-    cell-level pool.
     """
     names = workload_names or tuple(WORKLOADS)
     tasks = [(name, compiler, opt_level)
@@ -271,7 +255,7 @@ def sweep(workload_names: tuple[str, ...] | None = None,
             futures = [
                 pool.submit(_measure_cell_task,
                             (*task, use_cache, include_secondwrite,
-                             observe, replay_jobs))
+                             observe))
                 for task in tasks]
             for future in as_completed(futures):
                 key, result, payload = future.result()
@@ -285,7 +269,7 @@ def sweep(workload_names: tuple[str, ...] | None = None,
             progress(name, compiler, opt_level)
         out[(name, compiler, opt_level)] = measure_cell(
             WORKLOADS[name], compiler, opt_level, use_cache,
-            include_secondwrite, replay_jobs=replay_jobs)
+            include_secondwrite)
     return out
 
 

@@ -4,7 +4,7 @@ The metrics registry (:mod:`.metrics`) answers "how much / how long";
 the ledger answers "what happened, in what order, and why".  Every
 pipeline layer emits typed events — stage boundaries, trace merges,
 frame-variable construction steps, corroboration findings, store
-hits, pool lifecycle, validation verdicts — and the ledger records them
+hits, scheduler dispatch, validation verdicts — and the ledger records them
 durably enough that a later run (or the ``repro explain``
 provenance query) can reconstruct *why* a recovered fact looks the way
 it does.
@@ -20,8 +20,8 @@ Design:
   silently;
 * **process-safe** — file-backed ledgers write each line with a single
   ``os.write`` on an ``O_APPEND`` descriptor, which POSIX keeps atomic
-  for writes below ``PIPE_BUF``: forked sweep workers (replay pool,
-  evaluation sweep) inherit the descriptor and append
+  for writes below ``PIPE_BUF``: forked workers (evaluation sweep,
+  scheduler workers) inherit the descriptor and append
   concurrently without interleaving lines.  A per-process ``pid`` field
   plus a per-process ``seq`` counter give every event a stable identity
   and a total order per writer (file order gives the global
@@ -96,9 +96,6 @@ EVENT_KINDS = frozenset({
     "sched.dispatch",
     "sched.steal",
     "sched.reject",
-    # process pools
-    "pool.spawn",
-    "pool.reuse",
 })
 
 

@@ -60,9 +60,8 @@ def _fmt_delta(attrs: dict) -> str:
 
 
 #: Counter prefixes grouped into labeled stderr-summary sections so
-#: cache/pool behaviour is readable at a glance.
+#: store/serve behaviour is readable at a glance.
 COUNTER_SECTIONS = (
-    ("fork pool", "parallel.pool."),
     ("artifact store", "store."),
     ("serve", "serve."),
 )

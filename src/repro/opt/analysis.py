@@ -11,21 +11,20 @@ be followed by ``func.invalidate()`` before another pass (or a later
 fixed-point round) consults these accessors — the builder API
 (:meth:`Block.append` / :meth:`Block.insert`) bumps the version
 automatically, direct splices do not.  Callers must treat the returned
-objects as immutable.  Set ``REPRO_ANALYSIS_CACHE=0`` to disable caching
-(every call recomputes), e.g. to bisect a suspected stale-analysis bug.
+objects as immutable.  Setting :data:`_CACHE_ENABLED` to ``False``
+makes every call recompute (the cache-off byte-identity tests do this).
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 
 from .. import obs
 from ..ir.module import Block, Function
 from ..ir.values import Instr, Value
 
-_CACHE_ENABLED = os.environ.get("REPRO_ANALYSIS_CACHE", "1") \
-    not in ("0", "false", "off")
+#: Caching on; tests switch it off to compare against recomputation.
+_CACHE_ENABLED = True
 
 #: func -> (epoch, {analysis name -> result}); weak so retired modules
 #: free their analyses.

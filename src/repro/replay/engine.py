@@ -13,35 +13,23 @@ validation sweep after each refinement.  That replay loop dominates
   module (by content hash, :func:`~repro.replay.fingerprint.
   module_fingerprint`) cannot have broken functionality, so its
   validation sweep is skipped entirely;
-* **parallel replay** — validation sweeps and the instrumented bounds
-  runs are independent per input and fan out over a process pool
-  (``jobs=N``); per-input :class:`~repro.core.runtime.TracingRuntime`
-  recordings are merged deterministically in traced-input order, so
-  parallel and serial runs produce byte-identical recompiled binaries;
 * **early-exit validation** — traced runs are replayed cheapest first
   and the sweep stops at the first mismatch, naming the diverging input
   in the raised :class:`~repro.errors.SymbolizeError`.
 
+Every sweep runs serially in this process.  The instrumented bounds
+runs share one :class:`~repro.core.runtime.TracingRuntime`, re-bound
+per distinct input in traced-input order, so variables are discovered
+in the order the traces list their inputs.
+
 Observability: counters ``replay.runs`` / ``replay.deduped`` /
 ``replay.validations_skipped`` / ``validate.interpreter_errors``, and a
-``replay.<stage>_seconds`` timer per replay stage.  The pool layer adds
-``parallel.pool.spawns`` / ``parallel.pool.reuses``.
-
-Process-pool workers are spawned with the ``fork`` start method through
-the shared :class:`repro.parallel.ForkPool` utility and read the module
-from inherited memory (a lifted module is a cyclic object graph that
-may exceed pickle's recursion limits).  The pool is keyed on the
-module's content fingerprint, so consecutive sweeps over an unchanged
-module **reuse** the live workers instead of forking a fresh executor
-per stage; a content change respawns.  Where ``fork`` is unavailable,
-or a pool dies mid-sweep, the engine falls back to the serial path,
-which computes the same results.
+``replay.<stage>_seconds`` timer per replay stage.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import as_completed
 
 from .. import obs
 from ..core.runtime import TracingRuntime
@@ -49,7 +37,6 @@ from ..emu.tracer import TraceSet
 from ..errors import SymbolizeError
 from ..ir.interp import Interpreter
 from ..ir.module import Module
-from ..parallel import ForkPool, worker_ctx
 from .fingerprint import module_fingerprint
 
 
@@ -60,82 +47,41 @@ def _baseline() -> bool:
     return os.environ.get("REPRO_REPLAY_BASELINE", "") not in ("", "0")
 
 
-def _worker_begin() -> bool:
-    """Reset the inherited recorder (and in-memory ledger events) so
-    this worker's observations are not double-counted when the parent
-    merges its payload."""
-    observe = worker_ctx()[3]
-    if observe:
-        obs.enable(reset=True)
-    obs.fork_begin()
-    return observe
-
-
-def _validate_worker(index: int):
-    module, inputs, results, _observe = worker_ctx()
-    observe = _worker_begin()
-    out = _validate_one(module, inputs[index], results[index], index)
-    return out + (obs.export_payload() if observe else None,)
-
-
-def _validate_one(module: Module, items, expected, index: int):
+def _validate_one(module: Module, items, expected):
     """Replay one traced input.
 
-    Returns ``(index, ok, reason, interp_error)`` — ``interp_error``
-    marks a swallowed interpreter exception (counted and noted by the
-    caller) as opposed to an output mismatch.
+    Returns ``None`` when it reproduces ``expected``, else
+    ``(reason, interp_error)`` — ``interp_error`` marks a swallowed
+    interpreter exception (counted and noted by the caller) as opposed
+    to an output mismatch.
     """
     try:
         result = Interpreter(module, items).run()
     except Exception as exc:  # diagnosable, not silent (see validate())
-        return index, False, f"{type(exc).__name__}: {exc}", True
+        return f"{type(exc).__name__}: {exc}", True
     if result.stdout != expected.stdout:
-        return index, False, "stdout diverged", False
+        return "stdout diverged", False
     if result.exit_code != expected.exit_code:
-        return (index, False,
-                f"exit code {result.exit_code} != {expected.exit_code}",
+        return (f"exit code {result.exit_code} != {expected.exit_code}",
                 False)
-    return index, True, None, False
-
-
-def _bounds_worker(index: int):
-    module, inputs, _results, _observe = worker_ctx()
-    observe = _worker_begin()
-    runtime = TracingRuntime()
-    interp = Interpreter(module, inputs[index],
-                         intrinsic_handler=runtime.handle)
-    runtime.bind(interp)
-    interp.run()
-    return (index, runtime.snapshot(),
-            obs.export_payload() if observe else None)
+    return None
 
 
 class ReplayEngine:
     """Owns every dynamic re-execution of one refinement pipeline run.
 
     One engine per :func:`~repro.core.driver.wytiwyg_lift` invocation;
-    it deduplicates the traced inputs once, tracks the fingerprint of
-    the last module state known to reproduce the traces, and fans
-    replay sweeps out over ``jobs`` worker processes drawn from one
-    reusable :class:`~repro.parallel.ForkPool` (callers that finish a
-    pipeline run should :meth:`close` it).
+    it deduplicates the traced inputs once and tracks the fingerprint of
+    the last module state known to reproduce the traces.
     """
 
-    def __init__(self, traces: TraceSet, jobs: int = 1,
-                 pool: ForkPool | None = None):
+    def __init__(self, traces: TraceSet):
         self.traces = traces
-        self.jobs = max(1, int(jobs))
-        if pool is not None:
-            # A caller-owned pool (the serve daemon shares one across
-            # requests, so identical resubmissions reuse live workers).
-            # The pool's worker budget wins over ``jobs`` so the owner
-            # controls the fan-out centrally.
-            self.jobs = max(self.jobs, pool.jobs)
         self.baseline = _baseline()
         seen: set[str] = set()
         #: Indices into ``traces.inputs``, first occurrence of each
-        #: distinct input, in traced order (merge determinism relies on
-        #: this order).
+        #: distinct input, in traced order (the bounds runs' variable
+        #: discovery order follows it).
         self.unique: list[int] = []
         for i, items in enumerate(traces.inputs):
             key = repr(items)
@@ -149,20 +95,6 @@ class ReplayEngine:
         #: Diagnostics accumulated across sweeps (merged into pipeline
         #: notes by the driver).
         self.notes: list[str] = []
-        #: Shared fork pool, reused across sweeps while the module's
-        #: content fingerprint is unchanged.  Externally lent pools
-        #: outlive this engine (``close`` leaves them running).
-        self._own_pool = pool is None
-        self.pool = ForkPool(self.jobs) if pool is None else pool
-        #: Forces a respawn for sweeps without a content key (baseline
-        #: mode keeps the historical pool-per-stage behaviour).
-        self._unkeyed = 0
-
-    def close(self) -> None:
-        """Release the worker pool (end of the pipeline run).  A pool
-        lent by the caller stays alive for the next request."""
-        if self._own_pool:
-            self.pool.close()
 
     @property
     def unique_inputs(self) -> list[list]:
@@ -207,156 +139,48 @@ class ReplayEngine:
                 return "skipped"
             # Cheapest traced run first: a broken refinement usually
             # breaks every input, so fail on the cheapest one.
-            results = self.traces.results
+            inputs, results = self.traces.inputs, self.traces.results
             order = sorted(self.unique,
                            key=lambda i: (results[i].cycles, i))
-            if self.jobs > 1 and len(order) > 1:
-                failure = self._validate_parallel(module, order, fp)
-            else:
-                failure = self._validate_serial(module, order)
-            if failure is not None:
-                index, reason, interp_error = failure
+            for i in order:
+                obs.count("replay.runs")
+                verdict = _validate_one(module, inputs[i], results[i])
+                if verdict is None:
+                    continue
+                reason, interp_error = verdict
                 if interp_error:
                     obs.count("validate.interpreter_errors")
                     self.notes.append(
                         f"validate[{stage}]: interpreter error on "
-                        f"input #{index}: {reason}")
+                        f"input #{i}: {reason}")
                 obs.event("validate.verdict", stage=stage,
-                          verdict="failed", input=index, reason=reason,
+                          verdict="failed", input=i, reason=reason,
                           interpreter_error=interp_error)
                 raise SymbolizeError(
                     f"{stage} broke functionality: traced input "
-                    f"#{index} {self.traces.inputs[index]!r} "
-                    f"diverged ({reason})")
+                    f"#{i} {inputs[i]!r} diverged ({reason})")
             self._valid_fp = fp
             obs.event("validate.verdict", stage=stage, verdict="ok",
                       runs=len(order))
             return "ok"
 
-    def _validate_serial(self, module, order):
-        inputs, results = self.traces.inputs, self.traces.results
-        for i in order:
-            obs.count("replay.runs")
-            index, ok, reason, interp_error = _validate_one(
-                module, inputs[i], results[i], i)
-            if not ok:
-                return index, reason, interp_error
-        return None
-
-    def _validate_parallel(self, module, order, fp: str | None):
-        try:
-            pool = self._acquire(module, len(order), fp)
-        except Exception:
-            return self._validate_serial(module, order)
-        position = {i: pos for pos, i in enumerate(order)}
-        failures: list[tuple] = []
-        try:
-            futures = [pool.submit(_validate_worker, i) for i in order]
-            for future in as_completed(futures):
-                (index, ok, reason, interp_error,
-                 payload) = future.result()
-                obs.merge_payload(payload)
-                obs.count("replay.runs")
-                if not ok:
-                    failures.append((index, reason, interp_error))
-                    # Early exit: drop the runs still queued.  The
-                    # cancelled executor cannot be reused.
-                    self.pool.invalidate(cancel=True)
-                    break
-        except Exception:
-            # A broken pool (OOM-killed worker, missing fork support
-            # surfacing late): replaying serially is idempotent.
-            self.pool.invalidate()
-            return self._validate_serial(module, order)
-        if not failures:
-            return None
-        # Deterministic report: the earliest failure in sweep order.
-        return min(failures, key=lambda f: position[f[0]])
-
     # -- instrumented bounds runs (§4.2) -------------------------------------
 
     def run_instrumented(self, module: Module) -> TracingRuntime:
-        """Execute the probe-instrumented module on every distinct input
-        and return the merged tracing runtime.
-
-        Per-input runtimes are merged in traced-input order, which
-        reproduces the variable/argument-area discovery order of a
-        single shared runtime — serial and parallel sweeps therefore
-        feed identical state to layout construction.
-        """
+        """Execute the probe-instrumented module on every distinct input,
+        in traced order, against one shared tracing runtime."""
         with obs.timed("replay.bounds_seconds"):
-            merged = TracingRuntime()
-            order = self.unique
-            if self.jobs > 1 and len(order) > 1:
-                snapshots = self._bounds_parallel(module, order)
-                if snapshots is not None:
-                    for i in order:
-                        merged.merge(snapshots[i])
-                        self._trace_merged(i, merged)
-                    return merged
+            runtime = TracingRuntime()
             inputs = self.traces.inputs
-            for i in order:
+            for i in self.unique:
                 obs.count("replay.runs")
-                runtime = TracingRuntime()
                 interp = Interpreter(module, inputs[i],
                                      intrinsic_handler=runtime.handle)
                 runtime.bind(interp)
                 interp.run()
-                merged.merge(runtime)
-                self._trace_merged(i, merged)
-            return merged
-
-    def _trace_merged(self, index: int, merged: TracingRuntime) -> None:
-        """Ledger record of one instrumented run folding in (§4.2)."""
-        if obs.ledger() is not None:
-            obs.event("trace.merged", input=index,
-                      stack_vars=len(merged.stack_vars),
-                      arg_accesses=len(merged.arg_accesses),
-                      links=len(merged.links))
-
-    def _bounds_parallel(self, module, order):
-        try:
-            pool = self._acquire(module, len(order),
-                                 None if self.baseline
-                                 else module_fingerprint(module))
-        except Exception:
-            return None
-        snapshots: dict[int, dict] = {}
-        try:
-            futures = [pool.submit(_bounds_worker, i) for i in order]
-            for future in as_completed(futures):
-                index, snapshot, payload = future.result()
-                obs.merge_payload(payload)
-                obs.count("replay.runs")
-                snapshots[index] = snapshot
-        except SymbolizeError:
-            raise
-        except Exception as exc:
-            # Interpreter errors must propagate exactly as in the serial
-            # sweep; only pool-transport failures fall back.
-            if type(exc).__name__ in ("BrokenProcessPool",
-                                      "PicklingError"):
-                self.pool.invalidate()
-                return None
-            raise
-        return snapshots
-
-    # -- pool ----------------------------------------------------------------
-
-    def _acquire(self, module: Module, ntasks: int, fp: str | None):
-        """An executor whose workers inherit the module's current state.
-
-        Keyed on the module's content fingerprint (plus the obs
-        activation state, which workers latch at fork): consecutive
-        sweeps over unchanged content share one set of forked workers;
-        a content change — or a sweep without a fingerprint (baseline
-        mode) — respawns.
-        """
-        if fp is None:
-            self._unkeyed += 1
-            key = ("replay-unkeyed", self._unkeyed)
-        else:
-            key = ("replay", fp, obs.enabled())
-        ctx = (module, self.traces.inputs, self.traces.results,
-               obs.enabled())
-        return self.pool.acquire(key, ctx, ntasks)
+                if obs.ledger() is not None:
+                    obs.event("trace.merged", input=i,
+                              stack_vars=len(runtime.stack_vars),
+                              arg_accesses=len(runtime.arg_accesses),
+                              links=len(runtime.links))
+            return runtime

@@ -1,11 +1,13 @@
 """repro.sched — the serve daemon's multi-process job scheduler.
 
 Every daemon job executes in a pool of **long-lived worker processes**
-(one by default).  The published fork-pool context is process-global,
-so two jobs cannot safely overlap in one process; the pool gives each
-job a process of its own.  Each worker is forked once at scheduler
-start and then runs many jobs, keeping its replay fork pool between
-jobs.  Reuse of
+(one by default).  Pipeline state is process-global — the obs recorder
+and ledger, the emulator's shared block caches, the optimizer's
+CFG-analysis cache — so two jobs cannot safely overlap in one process,
+and the pipeline is pure Python, so threads would serialize on the GIL
+anyway; the pool gives each job a process of its own.  Each worker is forked
+once at scheduler start and then runs many jobs, keeping its warm
+in-process caches between jobs.  Reuse of
 results and per-input traces lands via the shared content-addressed
 :class:`~repro.store.ArtifactStore` on disk (its atomic
 tmp+``os.replace`` writes make concurrent puts safe; last writer wins
@@ -39,9 +41,9 @@ per job over the existing payload protocol
 (:func:`repro.obs.export_payload` / :func:`~repro.obs.merge_payload`),
 so parent-side reports aggregate the whole pool.
 
-Like :mod:`repro.parallel`, workers are forked (``fork`` start
-method), which every POSIX platform — the only ones with the daemon's
-``AF_UNIX`` socket — provides.
+Workers are forked (``fork`` start method), which every POSIX
+platform — the only ones with the daemon's ``AF_UNIX`` socket —
+provides.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from . import obs
 from .binary.image import BinaryImage
 from .core.incremental import incremental_recompile
 from .errors import SchedError, SchedRejected
-from .parallel import ForkPool
 from .store import ArtifactStore, decode_runs
 
 __all__ = ["JobScheduler", "affinity_worker", "execute_job"]
@@ -84,8 +85,7 @@ def affinity_worker(image_key: str, workers: int) -> int:
 
 # -- job execution (runs in the worker process) ---------------------------
 
-def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
-                replay_pool=None) -> dict:
+def execute_job(spec: dict, store: ArtifactStore) -> dict:
     """Run one job spec and return the response fields it produced.
 
     ``spec["op"]`` selects the job type: ``"recompile"`` (default) runs
@@ -109,7 +109,6 @@ def execute_job(spec: dict, store: ArtifactStore, jobs: int = 1,
         check=options.get("check"),
         static_widen=options.get("static_widen"),
         hybrid=options.get("hybrid", False),
-        jobs=jobs, replay_pool=replay_pool,
         collect_accuracy=options.get("collect_accuracy", True))
     out: dict = {
         "served": served.stats.served,
@@ -158,43 +157,35 @@ def _arm_worker_obs(spec: dict) -> bool:
     return armed
 
 
-def _worker_main(conn, worker_id: int, store_root: str,
-                 jobs: int) -> None:
+def _worker_main(conn, worker_id: int, store_root: str) -> None:
     """Worker process entry: serve job specs from ``conn`` until EOF or
-    a ``None`` sentinel.  The replay pool lives here, one per
-    worker."""
+    a ``None`` sentinel."""
     obs.fork_begin()   # drop any in-memory events inherited over fork
     store = ArtifactStore(store_root)
-    pool = ForkPool(jobs) if jobs > 1 else None
-    try:
-        while True:
-            try:
-                spec = conn.recv()
-            except (EOFError, OSError):
-                break
-            if spec is None:
-                break
-            shipping = _arm_worker_obs(spec)
-            try:
-                with obs.span("worker.job", worker=worker_id,
-                              job=spec.get("job", 0),
-                              image=spec.get("image_key", "")):
-                    result = execute_job(spec, store, jobs=jobs,
-                                         replay_pool=pool)
-                result["ok"] = True
-            except Exception as exc:   # ship the failure, stay alive
-                result = {"ok": False, "error": str(exc),
-                          "kind": type(exc).__name__}
-            result["worker"] = worker_id
-            if shipping:
-                result["obs"] = obs.export_payload()
-            try:
-                conn.send(result)
-            except (BrokenPipeError, OSError):
-                break
-    finally:
-        if pool is not None:
-            pool.close()
+    while True:
+        try:
+            spec = conn.recv()
+        except (EOFError, OSError):
+            break
+        if spec is None:
+            break
+        shipping = _arm_worker_obs(spec)
+        try:
+            with obs.span("worker.job", worker=worker_id,
+                          job=spec.get("job", 0),
+                          image=spec.get("image_key", "")):
+                result = execute_job(spec, store)
+            result["ok"] = True
+        except Exception as exc:   # ship the failure, stay alive
+            result = {"ok": False, "error": str(exc),
+                      "kind": type(exc).__name__}
+        result["worker"] = worker_id
+        if shipping:
+            result["obs"] = obs.export_payload()
+        try:
+            conn.send(result)
+        except (BrokenPipeError, OSError):
+            break
 
 
 class _Job:
@@ -238,12 +229,11 @@ class JobScheduler:
     :class:`~repro.errors.SchedRejected` when the queue is full).
     """
 
-    def __init__(self, workers: int, store_root, jobs: int = 1,
+    def __init__(self, workers: int, store_root,
                  max_depth: int | None = None,
                  job_timeout: float | None = None):
         self.workers = max(1, int(workers))
         self.store_root = str(store_root)
-        self.jobs = max(1, int(jobs))
         self.max_depth = (int(max_depth) if max_depth is not None
                           else DEPTH_PER_WORKER * self.workers)
         self.job_timeout = job_timeout
@@ -288,7 +278,7 @@ class JobScheduler:
         parent_conn, child_conn = self._mp.Pipe()
         proc = self._mp.Process(
             target=_worker_main,
-            args=(child_conn, slot.idx, self.store_root, self.jobs),
+            args=(child_conn, slot.idx, self.store_root),
             name=f"repro-sched-worker-{slot.idx}", daemon=True)
         proc.start()
         child_conn.close()

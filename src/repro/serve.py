@@ -14,8 +14,8 @@ Why a daemon beats N one-shot processes:
   traces and results across requests (and across daemon restarts);
 * jobs execute on a pool of long-lived worker processes
   (:mod:`repro.sched`; ``--workers N``, default 1), each keeping its
-  replay :class:`~repro.parallel.ForkPool` between jobs, and an input
-  addition re-traces only the new input;
+  warm in-process caches between jobs, and an input addition
+  re-traces only the new input;
 * distinct images recompile concurrently, repeat requests for one
   image are routed to the same worker (image-affinity dispatch with
   work-stealing fallback), and a bounded queue applies backpressure.
@@ -86,13 +86,12 @@ class RecompileServer:
 
     One instance per socket path.  Connections are handled on threads;
     every job is dispatched to the :class:`~repro.sched.JobScheduler`
-    worker pool, where each worker owns its replay pool.  Campaigns
-    serialize per-name only.
+    worker pool.  Campaigns serialize per-name only.
     """
 
     def __init__(self, socket_path: str | Path,
                  store: ArtifactStore | str | Path | None = None,
-                 jobs: int = 1, workers: int = 1,
+                 workers: int = 1,
                  queue_depth: int | None = None,
                  job_timeout: float | None = None):
         self.socket_path = Path(socket_path)
@@ -100,11 +99,10 @@ class RecompileServer:
             self.store = store
         else:
             self.store = ArtifactStore(store)
-        self.jobs = max(1, int(jobs))
         self.workers = max(1, int(workers))
         self.max_request_bytes = MAX_REQUEST_BYTES
         self.sched = JobScheduler(
-            self.workers, store_root=self.store.root, jobs=self.jobs,
+            self.workers, store_root=self.store.root,
             max_depth=queue_depth, job_timeout=job_timeout)
         self._state_lock = threading.Lock()
         self._campaign_locks: dict[str, threading.Lock] = {}
@@ -237,7 +235,7 @@ class RecompileServer:
         if op == "status":
             with self._state_lock:
                 stats = dict(self.stats)
-            return {"ok": True, "op": "status", "jobs": self.jobs,
+            return {"ok": True, "op": "status",
                     "workers": self.workers,
                     "stats": stats, "store": dict(self.store.stats),
                     "store_root": str(self.store.root),
@@ -477,12 +475,11 @@ class ServeClient:
 
 def serve_forever(socket_path: str | Path,
                   store: str | Path | None = None,
-                  jobs: int = 1,
                   workers: int = 1,
                   queue_depth: int | None = None,
                   job_timeout: float | None = None) -> RecompileServer:
     """Convenience entry: build a server and block serving requests."""
-    server = RecompileServer(socket_path, store=store, jobs=jobs,
+    server = RecompileServer(socket_path, store=store,
                              workers=workers,
                              queue_depth=queue_depth,
                              job_timeout=job_timeout)

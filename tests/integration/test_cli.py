@@ -68,11 +68,41 @@ def test_multiple_input_runs(source_file, tmp_path, capsys):
     assert "double=2" in out and "double=4" in out
 
 
-def test_bad_input_spec_rejected(source_file, tmp_path):
+def test_bad_input_spec_rejected(source_file, tmp_path, capsys):
     image = tmp_path / "prog.img.json"
     main(["compile", str(source_file), "-o", str(image)])
-    with pytest.raises(SystemExit):
-        main(["run", str(image), "--input", "float:1"])
+    capsys.readouterr()
+    assert main(["run", str(image), "--input", "float:1"]) == 2
+    _assert_one_line_error(capsys, "run")
+
+
+@pytest.mark.parametrize("command,spec", [("recompile", "int:abc"),
+                                          ("run", "int:")])
+def test_non_integer_input_is_one_line(source_file, tmp_path, capsys,
+                                       command, spec):
+    image = tmp_path / "prog.img.json"
+    main(["compile", str(source_file), "-o", str(image)])
+    capsys.readouterr()
+    assert main([command, str(image), "--input", spec]) == 2
+    _assert_one_line_error(capsys, command)
+
+
+@pytest.mark.parametrize("command", ["run", "recompile", "layout",
+                                     "check"])
+def test_missing_image_is_one_line(tmp_path, capsys, command):
+    assert main([command, str(tmp_path / "absent.img.json")]) == 2
+    _assert_one_line_error(capsys, command)
+
+
+@pytest.mark.parametrize("command", ["recompile", "layout", "check",
+                                     "explain", "serve"])
+def test_jobs_flag_rejected(tmp_path, command):
+    argv = ([command, "--socket", str(tmp_path / "s.sock")]
+            if command == "serve" else
+            [command, str(tmp_path / "x.img.json")])
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 UNDERTRACE = r"""

@@ -84,11 +84,11 @@ def test_file_backed_roundtrip_and_forward_compat(tmp_path):
 
 def test_fork_begin_drops_inherited_in_memory_events():
     led = obs.enable_ledger()
-    obs.event("pool.spawn", key="k")
+    obs.event("run.start", pipeline="p")
     obs.fork_begin()
     assert led.events == []
-    obs.event("pool.reuse", key="k")
-    assert [e["kind"] for e in led.events] == ["pool.reuse"]
+    obs.event("run.finish", pipeline="p")
+    assert [e["kind"] for e in led.events] == ["run.finish"]
 
 
 def test_worker_payload_ships_in_memory_events():

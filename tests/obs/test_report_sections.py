@@ -17,18 +17,16 @@ def _doc(counters=None, timers=None):
 def test_counter_sections_group_by_prefix():
     text = obs.summary(_doc(counters={
         "store.hit": 30, "store.miss": 10, "store.put": 1,
-        "parallel.pool.spawns": 2, "parallel.pool.reuses": 5,
         "serve.result_hits": 4,
         "unrelated.counter": 99,
     }))
     assert "artifact store (store.*):" in text
-    assert "fork pool (parallel.pool.*):" in text
     assert "serve (serve.*):" in text
     # Entries appear under their section with the prefix stripped.
-    assert "miss" in text and "spawns" in text and "result_hits" in text
+    assert "miss" in text and "result_hits" in text
     # Prefixes that recorded nothing add no empty section.
-    no_pool = obs.summary(_doc(counters={"store.hit": 1}))
-    assert "fork pool" not in no_pool
+    no_serve = obs.summary(_doc(counters={"store.hit": 1}))
+    assert "serve (serve.*)" not in no_serve
 
 
 def test_percentile_rows_for_timers():

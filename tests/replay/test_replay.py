@@ -1,5 +1,5 @@
-"""The replay engine: dedup, fingerprint-gated validation, merge
-determinism, and parallel/serial equivalence (ISSUE 3 tentpole)."""
+"""The replay engine: dedup, fingerprint-gated validation, and the
+instrumented bounds runs over one shared tracing runtime."""
 
 import pytest
 
@@ -8,11 +8,10 @@ from repro.core.driver import wytiwyg_lift, wytiwyg_recompile
 from repro.core.runtime import ArgAccess, StackVar, TracingRuntime
 from repro.emu import trace_binary
 from repro.errors import SymbolizeError
-from repro.ir.printer import module_to_text
 from repro.ir.values import BinOp, CallExt, Const
 from repro.lifting import lift_traces
 from repro.replay import ReplayEngine, module_fingerprint
-from tests.conftest import KERNEL_SOURCE, cached_image
+from tests.conftest import cached_image
 
 #: Exit-code workload (no printf): the varargs stage is a no-op, so its
 #: validation sweep must be fingerprint-skipped.
@@ -38,61 +37,66 @@ def _traced(source=EXIT_SOURCE, inputs=INPUTS):
     return image, traces
 
 
-# -- TracingRuntime.merge -----------------------------------------------------
+# -- one tracing runtime across the bounds runs -----------------------------
+
+#: Fills the first n elements of a local array: each input touches a
+#: different prefix, so the recovered extent depends on every input.
+PREFIX_SOURCE = r"""
+int main() {
+    int buf[12];
+    int i;
+    int n;
+    n = read_int();
+    for (i = 0; i < n; i++) buf[i] = i * 5;
+    int s = 0;
+    for (i = 0; i < n; i++) s += buf[i];
+    printf("s=%d\n", s);
+    return 0;
+}
+"""
 
 
-def _var(ref_id, **kw):
-    return StackVar(ref_id=ref_id, func_name="f", sp0_offset=-8, **kw)
+def _extents(inputs):
+    image = cached_image(PREFIX_SOURCE)
+    _module, layouts, _notes, _report = wytiwyg_lift(
+        trace_binary(image.stripped(), inputs))
+    return {name: [(v.start, v.end) for v in layout.variables]
+            for name, layout in layouts.items()}
 
 
-def test_merge_widens_bounds_commutatively():
-    a = TracingRuntime()
-    b = TracingRuntime()
-    a.stack_vars[1] = _var(1, low=-4, high=4, align=4)
-    b.stack_vars[1] = _var(1, low=-8, high=0, align=8)
-    b.stack_vars[2] = _var(2, low=0, high=4)
-
-    ab = TracingRuntime().merge(a).merge(b)
-    ba = TracingRuntime().merge(b).merge(a)
-    for merged in (ab, ba):
-        assert (merged.stack_vars[1].low,
-                merged.stack_vars[1].high) == (-8, 4)
-        assert merged.stack_vars[1].align == 8
-        assert (merged.stack_vars[2].low,
-                merged.stack_vars[2].high) == (0, 4)
+def test_bounds_runs_widen_across_inputs():
+    """Bounds observed on different inputs widen one shared variable,
+    whatever order the inputs were traced in."""
+    short, long = _extents([[2]]), _extents([[9]])
+    assert short != long
+    assert _extents([[2], [9]]) == _extents([[9], [2]]) == long
 
 
-def test_merge_arg_access_does_not_fabricate_walked():
-    # A merged span wider than one word must NOT set `walked` -- that
-    # flag records *how* the area was accessed, not its extent.
-    a = TracingRuntime()
-    b = TracingRuntime()
-    a.arg_accesses[7] = ArgAccess(callsite_id=7, low=0, high=4,
-                                  callees={"f"})
-    b.arg_accesses[7] = ArgAccess(callsite_id=7, low=4, high=8,
-                                  callees={"g"})
-    merged = TracingRuntime().merge(a).merge(b)
-    access = merged.arg_accesses[7]
+def test_arg_access_span_does_not_fabricate_walked():
+    # A span wider than one word must NOT set `walked` -- that flag
+    # records *how* the area was accessed, not its extent.
+    access = ArgAccess(callsite_id=7)
+    access.touch(0, 4)
+    access.touch(4, 4)
     assert (access.low, access.high) == (0, 8)
-    assert access.callees == {"f", "g"}
     assert not access.walked
+    access.touch(9, 1)
+    assert access.walked
 
-    b.arg_accesses[7].walked = True
-    assert TracingRuntime().merge(a).merge(b).arg_accesses[7].walked
 
-
-def test_merge_links_union_and_insertion_order():
-    a = TracingRuntime()
-    b = TracingRuntime()
-    a.links.add(frozenset({1, 2}))
-    b.links.add(frozenset({2, 3}))
-    a.stack_vars[1] = _var(1)
-    b.stack_vars[3] = _var(3)
-    b.stack_vars[1] = _var(1)
-    merged = TracingRuntime().merge(a).merge(b)
-    assert merged.links == {frozenset({1, 2}), frozenset({2, 3})}
-    # First-touch order is preserved: var 1 came from the first input.
-    assert list(merged.stack_vars) == [1, 3]
+def test_bind_resets_per_execution_state():
+    runtime = TracingRuntime()
+    runtime.stack_vars[1] = StackVar(ref_id=1, func_name="f",
+                                     sp0_offset=-8, low=0, high=4)
+    runtime._addr_map[0x1000] = None
+    runtime._pending_args.append((3, []))
+    runtime._pending_rets.append([])
+    runtime._copy_stage = [(5, None)]
+    runtime.bind(object())
+    assert (runtime._addr_map, runtime._pending_args,
+            runtime._pending_rets, runtime._copy_stage) == ({}, [], [], [])
+    # Cross-run observations survive the re-bind.
+    assert runtime.stack_vars[1].high == 4
 
 
 # -- fingerprint --------------------------------------------------------------
@@ -118,7 +122,7 @@ def test_fingerprint_stable_and_mutation_sensitive():
 
 def test_engine_dedups_traced_inputs():
     _image, traces = _traced()
-    engine = ReplayEngine(traces, jobs=1)
+    engine = ReplayEngine(traces)
     assert len(engine.unique) == 4
     assert engine.deduped == 2
     # Traced order, first occurrences.
@@ -131,7 +135,7 @@ def test_validation_skipped_until_module_mutates():
     module = lift_traces(traces)
     rec = obs.enable(reset=True)
     try:
-        engine = ReplayEngine(traces, jobs=1)
+        engine = ReplayEngine(traces)
         engine.mark_valid(module)
         assert engine.validate(module, "noop stage") == "skipped"
         counters = rec.registry.counters
@@ -150,7 +154,7 @@ def test_validation_skipped_until_module_mutates():
 def test_validation_failure_names_diverging_input():
     _image, traces = _traced()
     module = lift_traces(traces)
-    engine = ReplayEngine(traces, jobs=1)
+    engine = ReplayEngine(traces)
     # Break the program: force exit(123); the traced exit codes are
     # mix(...) % 97 truncations that never equal 123.
     mutated = False
@@ -171,7 +175,7 @@ def test_validation_failure_names_diverging_input():
 def test_interpreter_error_is_counted_and_noted():
     _image, traces = _traced()
     module = lift_traces(traces)
-    engine = ReplayEngine(traces, jobs=1)
+    engine = ReplayEngine(traces)
     # Dangling operand: the exit call consumes an instruction that never
     # executes, so every replay dies with an interpreter error.
     dangling = BinOp("add", Const(1), Const(2))
@@ -193,7 +197,7 @@ def test_interpreter_error_is_counted_and_noted():
         obs.disable()
 
 
-# -- parallel/serial equivalence ----------------------------------------------
+# -- byte-identity -----------------------------------------------------------
 
 
 def _recompile(image, inputs, traces, **kw):
@@ -207,79 +211,13 @@ def _recompile(image, inputs, traces, **kw):
     return result, layouts
 
 
-def test_jobs4_byte_identical_to_serial():
-    image, traces = _traced()
-    serial, serial_layouts = _recompile(image, INPUTS, traces, jobs=1)
-    par, par_layouts = _recompile(image, INPUTS, traces, jobs=4)
-    assert par.recovered.to_json() == serial.recovered.to_json()
-    assert par_layouts == serial_layouts
-    assert par.fallback == serial.fallback == False
-    if serial.accuracy is not None:
-        assert par.accuracy.precision == serial.accuracy.precision
-        assert par.accuracy.recall == serial.accuracy.recall
-
-
 def test_analysis_cache_off_is_byte_identical(monkeypatch):
     from repro.opt import analysis
 
     image, traces = _traced()
-    cached, cached_layouts = _recompile(image, INPUTS, traces, jobs=1)
+    cached, cached_layouts = _recompile(image, INPUTS, traces)
     monkeypatch.setattr(analysis, "_CACHE_ENABLED", False)
-    plain, plain_layouts = _recompile(image, INPUTS, traces, jobs=1)
+    plain, plain_layouts = _recompile(image, INPUTS, traces)
     assert plain.recovered.to_json() == cached.recovered.to_json()
     assert plain_layouts == cached_layouts
 
-
-def test_run_instrumented_parallel_merges_deterministically():
-    image = cached_image(KERNEL_SOURCE)
-    m1, layouts1, _, _ = wytiwyg_lift(
-        trace_binary(image.stripped(), [[], []]), jobs=1)
-    m4, layouts4, _, _ = wytiwyg_lift(
-        trace_binary(image.stripped(), [[], []]), jobs=4)
-    assert module_to_text(m1) == module_to_text(m4)
-    assert {n: [(v.start, v.end) for v in lo.variables]
-            for n, lo in layouts1.items()} == \
-           {n: [(v.start, v.end) for v in lo.variables]
-            for n, lo in layouts4.items()}
-
-
-# -- fork-pool reuse across stages --------------------------------------------
-
-
-def test_pool_reused_across_sweeps_over_unchanged_module():
-    """Consecutive parallel sweeps over the same module content share
-    one set of forked workers instead of spawning a pool per stage."""
-    _image, traces = _traced()
-    module = lift_traces(traces)
-    rec = obs.enable(reset=True)
-    try:
-        engine = ReplayEngine(traces, jobs=2)
-        try:
-            engine.run_instrumented(module)
-            engine.run_instrumented(module)
-            counters = rec.registry.counters
-            assert counters.get("parallel.pool.spawns") == 1
-            assert counters.get("parallel.pool.reuses", 0) >= 1
-        finally:
-            engine.close()
-    finally:
-        obs.disable()
-
-
-def test_pool_respawns_when_module_mutates():
-    _image, traces = _traced()
-    module = lift_traces(traces)
-    rec = obs.enable(reset=True)
-    try:
-        engine = ReplayEngine(traces, jobs=2)
-        try:
-            engine.run_instrumented(module)
-            func = next(iter(module.functions.values()))
-            func.entry.insert(0, BinOp("add", Const(1), Const(2)))
-            engine.run_instrumented(module)
-            assert rec.registry.counters.get(
-                "parallel.pool.spawns") == 2
-        finally:
-            engine.close()
-    finally:
-        obs.disable()

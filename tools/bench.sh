@@ -15,9 +15,9 @@
 # the disabled-path overhead ratio of the instrumented engine.
 #
 # The replay benches run as a third pass and emit BENCH_replay.json:
-# refinement wall time of the optimized replay engine (dedup +
-# fingerprint-skipped validation + jobs=4 fan-out) against the
-# pre-engine baseline sweep, plus the validation-skip hit rate.
+# refinement wall time of the optimized serial replay engine (dedup +
+# fingerprint-skipped validation) against the pre-engine baseline
+# sweep, plus the validation-skip hit rate.
 #
 # The service benches run as a fourth pass and emit BENCH_serve.json:
 # a replayed campaign against the warm artifact store vs N cold
