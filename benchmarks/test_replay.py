@@ -1,19 +1,20 @@
 """Replay-engine benches: refinement wall time with the replay
-optimizations (dedup + fingerprint-skipped validation) against the
-pre-engine baseline sweep behaviour.
+optimizations (dedup + validation folded into the next stage's run)
+against the pre-engine baseline sweep behaviour.
 
 Runs as the third ``tools/bench.sh`` pass and lands in
 ``BENCH_replay.json``: each bench's ``extra_info`` records the baseline
-and optimized refinement wall times, the speedup, the validation-skip
-hit rate, and the dedup count, so a CI job can diff a run against a
-saved baseline.
+and optimized refinement wall times, the speedup, the number of
+validations folded into a carrier run, and the dedup count, so a CI job
+can diff a run against a saved baseline.
 
 ``REPRO_REPLAY_BASELINE=1`` restores the old behaviour (every input
-replayed at every stage, every validation sweep executed); the headline
-speedup is the optimized serial engine vs that baseline.  The dedup and
-skip wins carry the ratio, which is why the workload carries duplicated
-inputs (as real trace sets do: the same seed input is typically traced
-under several configurations).
+replayed at every stage, a standalone validation sweep after every
+refinement) and is the byte-identity reference for the fold; the
+headline speedup is the optimized serial engine vs that baseline.  The
+dedup and fold wins carry the ratio, which is why the workload carries
+duplicated inputs (as real trace sets do: the same seed input is
+typically traced under several configurations).
 """
 
 import os
@@ -28,8 +29,8 @@ from repro.emu import trace_binary
 
 pytestmark = pytest.mark.bench
 
-#: Exit-code workload: no printf, so the varargs refinement is a no-op
-#: and its validation sweep is fingerprint-skipped.
+#: Exit-code workload: no printf, so the varargs refinement replays
+#: nothing and the regsave runs validate its (unchanged) module.
 SOURCE = r"""
 int mix(int seed, int rounds) {
     int acc = seed;
@@ -100,18 +101,20 @@ def test_bench_replay_speedup(benchmark, workload):
         baseline_result.recovered.to_json()
     assert not serial_result.fallback
 
-    skipped = counters.get("replay.validations_skipped", 0)
+    folded = counters.get("replay.validations_folded", 0)
     deduped = counters.get("replay.deduped", 0)
-    assert skipped >= 1, "no-op varargs stage must skip its validation"
+    assert folded == 2, "varargs and regsave validation must be folded"
+    # One standalone sweep (after symbolization) over the distinct
+    # inputs: every other run is an analysis run.
+    assert counters.get("ir.runs") == 3 * len(DISTINCT), \
+        "expected regsave, bounds and one validation run per input"
     assert deduped == len(INPUTS) - len(DISTINCT)
 
     speedup = baseline_s / serial_s
     benchmark.extra_info["baseline_seconds"] = baseline_s
     benchmark.extra_info["serial_seconds"] = serial_s
     benchmark.extra_info["speedup_vs_baseline"] = speedup
-    benchmark.extra_info["validations_skipped"] = skipped
-    # Three refinement validation sweeps per pipeline run.
-    benchmark.extra_info["validation_skip_rate"] = skipped / 3
+    benchmark.extra_info["validations_folded"] = folded
     benchmark.extra_info["inputs_deduped"] = deduped
     benchmark.extra_info["replay_runs"] = counters.get("replay.runs", 0)
     assert speedup >= 1.5, (

@@ -25,9 +25,11 @@ inputs.
 
 All dynamic re-execution goes through one
 :class:`~repro.replay.ReplayEngine` per pipeline run: traced inputs are
-deduplicated once, validation sweeps are skipped when a stage left the
-module's content fingerprint unchanged, and every sweep replays the
-distinct inputs serially.
+deduplicated once and every run replays the distinct inputs serially.
+Each refinement's functional validation is folded into the next
+stage's run of the module it produced — the regsave runs validate the
+varargs rewrite, the bounds runs validate the register refinement — so
+only the symbolized module gets a validation sweep of its own.
 
 Observability: with :mod:`repro.obs` enabled every stage above runs
 inside a named span (``stage.trace`` ... ``stage.recompile``) recording
@@ -37,8 +39,9 @@ additionally carries the layout-accuracy precision/recall whenever the
 input image ships ground truth, so a single recompile run reports the
 paper's Figure-7 quality numbers without the evaluation harness.  The
 replay layer contributes ``replay.runs`` / ``replay.deduped`` /
-``replay.validations_skipped`` / ``validate.interpreter_errors``
-counters and per-sweep timers.
+``replay.validations_folded`` / ``validate.interpreter_errors``
+counters and per-sweep timers; the ``stage.varargs`` and
+``stage.regsave`` spans record ``validated="folded"``.
 """
 
 from __future__ import annotations
@@ -138,7 +141,6 @@ def module_stats(module: Module) -> dict[str, int]:
 
 
 def wytiwyg_lift(traces: TraceSet,
-                 validate: bool = True,
                  hybrid: bool = False,
                  static_widen: bool | None = None,
                  ) -> tuple[Module, dict[str, FrameLayout],
@@ -183,9 +185,6 @@ def wytiwyg_lift(traces: TraceSet,
                    transfers=len(traces.transfers),
                    coverage=len(traces.executed),
                    inputs=len(traces.inputs))
-    # The lifted module reproduces the traces by construction; its
-    # fingerprint anchors the validation-skip chain.
-    engine.mark_valid(module)
     if hybrid:
         notes.append("hybrid: static coverage extension enabled")
 
@@ -197,8 +196,8 @@ def wytiwyg_lift(traces: TraceSet,
         if nsites:
             notes.append(f"varargs: recovered {nsites} call sites")
         verify_module(module)
-        validated = engine.validate(module, "varargs refinement") \
-            if validate else "off"
+        # Validated by the regsave runs below.
+        validated = engine.defer(module, "varargs refinement")
         if before is not None:
             sp.set(ir_before=before, ir_after=module_stats(module),
                    verified=True, call_sites=nsites,
@@ -207,13 +206,14 @@ def wytiwyg_lift(traces: TraceSet,
     # Refinement: register save/argument classification (§4.1).
     with obs.span("stage.regsave") as sp:
         before = module_stats(module) if observing else None
-        classification = classify_registers(
-            module, engine.replay_inputs("regsave"),
-            static_augment=hybrid)
+        with engine.carrier("regsave") as run:
+            classification = classify_registers(
+                module, engine.replay_inputs("regsave"),
+                static_augment=hybrid, run=run)
         apply_register_classification(module, classification)
         verify_module(module)
-        validated = engine.validate(module, "register refinement") \
-            if validate else "off"
+        # Validated by the bounds runs (after canonicalize and sp0fold).
+        validated = engine.defer(module, "register refinement")
         if before is not None:
             sp.set(ir_before=before, ir_after=module_stats(module),
                    verified=True,
@@ -259,8 +259,7 @@ def wytiwyg_lift(traces: TraceSet,
             eliminate_dead_code(func)
         shrink_signatures(module)
         verify_module(module)
-        validated = engine.validate(module, "stack symbolization") \
-            if validate else "off"
+        validated = engine.validate(module, "stack symbolization")
         nvars = sum(len(lo.variables) for lo in layouts.values())
         if before is not None:
             sp.set(ir_before=before, ir_after=module_stats(module),

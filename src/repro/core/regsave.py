@@ -214,17 +214,27 @@ def _is_lifted_signature(func: Function) -> bool:
 
 def classify_registers(module: Module,
                        inputs: list[list[int | bytes]],
-                       static_augment: bool = False) -> RegSaveResult:
+                       static_augment: bool = False,
+                       run=None) -> RegSaveResult:
     """Run the dynamic register classification over all traced inputs.
 
     With ``static_augment`` (hybrid mode, paper §7.2), the dynamic
     result is widened by an ABI-heuristic static read-before-write
     analysis, so registers consumed only on statically-added (untraced)
     paths are still classified as arguments.
+
+    ``run(k, interp)``, when given, executes the interpreter replaying
+    ``inputs[k]`` in place of ``interp.run()``; the replay engine passes
+    one that also validates the output against the trace
+    (:meth:`~repro.replay.ReplayEngine.carrier`).
     """
     plugin = RegSavePlugin()
-    for input_items in inputs:
-        Interpreter(module, input_items, shadow=plugin).run()
+    for k, input_items in enumerate(inputs):
+        interp = Interpreter(module, input_items, shadow=plugin)
+        if run is None:
+            interp.run()
+        else:
+            run(k, interp)
     result = plugin.resolve()
     if static_augment:
         static = classify_statically(module)

@@ -61,9 +61,9 @@ class EvalCache(ArtifactStore):
     def module_key(module, inputs=None, options: str = "") -> str:
         """Digest for artifacts derived from an IR module.
 
-        Reuses the replay engine's content fingerprint
+        Reuses the module content fingerprint
         (:func:`~repro.replay.module_fingerprint`), so a module the
-        pipeline validated and one reloaded from disk with identical
+        pipeline produced and one reloaded from disk with identical
         content share cache entries.
         """
         from ..replay import module_fingerprint

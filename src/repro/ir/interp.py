@@ -228,6 +228,9 @@ class Interpreter:
         self.compiled = compiled
         #: Per-block compiled code: block -> (func version, #instrs,
         #: (steps, phi plan, body closures, terminator closure)).
+        #: Released at the end of :meth:`run`: the closures refer back
+        #: to this interpreter, so a kept cache would hold it (and its
+        #: memory pages) alive until a full cyclic collection.
         self._code: dict = {}
         #: Observability: per-function execution counts land in this
         #: plain dict (the shared profile's counts) when a recorder is
@@ -310,6 +313,7 @@ class Interpreter:
         except ExitProgram as exc:
             code = exc.code
         finally:
+            self._code.clear()
             if self._func_counts is not None:
                 _obs_count("ir.runs")
                 _obs_count("ir.steps", self.steps)

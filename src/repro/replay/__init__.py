@@ -1,7 +1,7 @@
 """repro.replay — the dynamic re-execution subsystem.
 
 Owns every replay of lifted IR over the traced inputs: deduplicated
-serial sweeps, fingerprint-gated (skippable) validation, and the
+serial runs, validation folded into the next stage's run, and the
 instrumented bounds runs.  See :mod:`repro.replay.engine`.
 """
 

@@ -1,20 +1,18 @@
 """Content fingerprinting for IR modules.
 
-The replay engine needs one question answered cheaply: *did this stage
-change the module since the last point it was known to reproduce the
-traces?*  Mutation counters (:attr:`repro.ir.module.Function.version`)
-answer "was it touched", but a refinement that finds nothing to do may
-still bump versions, and counters do not survive process boundaries.  A
-content hash answers the real question: two modules with equal
-fingerprints have equal textual IR, equal global data, and equal entry
-metadata, so a validation sweep that passed for one passes for the
-other.
+Artifact caches need one question answered cheaply: *is this module the
+same as one seen before?*  Mutation counters
+(:attr:`repro.ir.module.Function.version`) answer "was it touched", but
+a pass that finds nothing to do may still bump versions, and counters
+do not survive process boundaries.  A content hash answers the real
+question: two modules with equal fingerprints have equal textual IR,
+equal global data, and equal entry metadata, so they behave the same.
 
 The hash is built from the canonical printer rendering (which renumbers
 value names, so it is insensitive to stale printing hints) plus the
 parts the printer elides: global initializers, the address table, and
-the entry name.  :class:`~repro.evaluation.cache.EvalCache` reuses the
-same digest for module-derived artifact keys.
+the entry name.  :class:`~repro.evaluation.cache.EvalCache` and the
+artifact store (:mod:`repro.store`) key module-derived artifacts on it.
 """
 
 from __future__ import annotations

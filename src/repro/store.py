@@ -5,7 +5,7 @@ produces: per-input traces, merged tracing-runtime state, lifted and
 optimized modules, lowered functions, recompiled images, and full job
 results.  It generalizes the evaluation harness's
 :class:`~repro.evaluation.cache.EvalCache` (now a thin subclass) and
-reuses the replay engine's content fingerprints
+reuses the module content fingerprints
 (:func:`~repro.replay.fingerprint.module_fingerprint`) so an artifact's
 key is a digest of exactly the content that determines it — a hit is
 valid by construction and nothing ever needs manual invalidation.

@@ -1,6 +1,9 @@
 """Compiled (table-dispatch) IR engine: parity with the reference
 engine, cache invalidation, and the opt-out switches."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import InterpError
@@ -107,6 +110,24 @@ def test_step_counts_match_reference():
     compiled = Interpreter(m, compiled=True).run()
     reference = Interpreter(m, compiled=False).run()
     assert compiled.steps == reference.steps
+
+
+def test_interpreter_freed_when_run_returns():
+    """The compiled-code cache refers back to its interpreter; run()
+    releases it, so a finished interpreter (and its memory pages) dies
+    with its last reference instead of waiting for a cyclic GC."""
+    m = loop_module()
+    interp = Interpreter(m, compiled=True)
+    ref = weakref.ref(interp)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert interp.run().exit_code == 285
+        del interp
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_mutation_invalidates_compiled_blocks():

@@ -1,20 +1,28 @@
-"""The replay engine: dedup, fingerprint-gated validation, and the
-instrumented bounds runs over one shared tracing runtime."""
+"""The replay engine: dedup, validation folded into the next stage's
+run, and the instrumented bounds runs over one shared tracing
+runtime."""
+
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.core import driver
 from repro.core.driver import wytiwyg_lift, wytiwyg_recompile
+from repro.core.regsave import classify_registers
 from repro.core.runtime import ArgAccess, StackVar, TracingRuntime
 from repro.emu import trace_binary
+from repro.emu.memory import Memory
 from repro.errors import SymbolizeError
 from repro.ir.values import BinOp, CallExt, Const
 from repro.lifting import lift_traces
 from repro.replay import ReplayEngine, module_fingerprint
 from tests.conftest import cached_image
 
-#: Exit-code workload (no printf): the varargs stage is a no-op, so its
-#: validation sweep must be fingerprint-skipped.
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: Exit-code workload (no printf): the varargs stage has no call sites
+#: to observe, so it replays nothing.
 EXIT_SOURCE = r"""
 int mix(int a, int b) {
     int acc = a;
@@ -117,7 +125,7 @@ def test_fingerprint_stable_and_mutation_sensitive():
     assert module_fingerprint(module) != fp1
 
 
-# -- dedup + validation skipping ----------------------------------------------
+# -- dedup --------------------------------------------------------------------
 
 
 def test_engine_dedups_traced_inputs():
@@ -130,42 +138,45 @@ def test_engine_dedups_traced_inputs():
     assert engine.unique_inputs == INPUTS[:4]
 
 
-def test_validation_skipped_until_module_mutates():
-    _image, traces = _traced()
-    module = lift_traces(traces)
-    rec = obs.enable(reset=True)
-    try:
-        engine = ReplayEngine(traces)
-        engine.mark_valid(module)
-        assert engine.validate(module, "noop stage") == "skipped"
-        counters = rec.registry.counters
-        assert counters.get("replay.validations_skipped") == 1
-        assert counters.get("replay.runs", 0) == 0
+# -- validation ----------------------------------------------------------------
 
-        # A real (harmless) mutation must force a full re-validation.
-        func = next(iter(module.functions.values()))
-        func.entry.insert(0, BinOp("add", Const(1), Const(2)))
-        assert engine.validate(module, "mutated stage") == "ok"
-        assert counters.get("replay.runs") == len(engine.unique)
-    finally:
-        obs.disable()
+
+def _rewrite_exit(module, operand) -> None:
+    """Make every exit call consume ``operand`` instead of its traced
+    argument."""
+    mutated = False
+    for func in module.functions.values():
+        for instr in func.instructions():
+            if isinstance(instr, CallExt) and instr.ext_name == "exit":
+                instr.ops = [operand]
+                instr.stack_args = False
+                mutated = True
+        func.invalidate()
+    assert mutated
+
+
+def _break_exit(module) -> None:
+    # Force exit(123): no traced run of the test programs exits with it.
+    _rewrite_exit(module, Const(123))
+
+
+def _crash_exit(module) -> None:
+    # Dangling operand: the exit call consumes an instruction that never
+    # executes, so every replay dies with an interpreter error.
+    _rewrite_exit(module, BinOp("add", Const(1), Const(2)))
+
+
+def _verdicts(ledger, verdict):
+    return [(e["stage"], e.get("carrier"))
+            for e in ledger.events
+            if e["kind"] == "validate.verdict" and e["verdict"] == verdict]
 
 
 def test_validation_failure_names_diverging_input():
     _image, traces = _traced()
     module = lift_traces(traces)
     engine = ReplayEngine(traces)
-    # Break the program: force exit(123); the traced exit codes are
-    # mix(...) % 97 truncations that never equal 123.
-    mutated = False
-    for func in module.functions.values():
-        for instr in func.instructions():
-            if isinstance(instr, CallExt) and instr.ext_name == "exit":
-                instr.ops = [Const(123)]
-                instr.stack_args = False
-                mutated = True
-        func.invalidate()
-    assert mutated
+    _break_exit(module)
     with pytest.raises(SymbolizeError) as err:
         engine.validate(module, "broken stage")
     assert "broken stage" in str(err.value)
@@ -176,15 +187,7 @@ def test_interpreter_error_is_counted_and_noted():
     _image, traces = _traced()
     module = lift_traces(traces)
     engine = ReplayEngine(traces)
-    # Dangling operand: the exit call consumes an instruction that never
-    # executes, so every replay dies with an interpreter error.
-    dangling = BinOp("add", Const(1), Const(2))
-    for func in module.functions.values():
-        for instr in func.instructions():
-            if isinstance(instr, CallExt) and instr.ext_name == "exit":
-                instr.ops = [dangling]
-                instr.stack_args = False
-        func.invalidate()
+    _crash_exit(module)
     rec = obs.enable(reset=True)
     try:
         with pytest.raises(SymbolizeError) as err:
@@ -195,6 +198,209 @@ def test_interpreter_error_is_counted_and_noted():
         assert "diverged" in str(err.value)
     finally:
         obs.disable()
+
+
+# -- validation folded into the next stage's run ------------------------------
+
+
+def _broken_varargs(monkeypatch):
+    """Make the varargs rewrite print a constant instead of the value."""
+    real = driver.recover_vararg_calls
+
+    def broken(module, inputs):
+        nsites = real(module, inputs)
+        for func in module.functions.values():
+            for instr in func.instructions():
+                if isinstance(instr, CallExt) and \
+                        instr.ext_name == "printf" and not instr.stack_args:
+                    instr.ops = instr.ops[:1] + \
+                        [Const(7777)] * (len(instr.ops) - 1)
+            func.invalidate()
+        return nsites
+    monkeypatch.setattr(driver, "recover_vararg_calls", broken)
+
+
+def test_regsave_run_catches_broken_varargs_rewrite(monkeypatch):
+    image = cached_image(PREFIX_SOURCE)
+    traces = trace_binary(image.stripped(), [[4], [7]])
+    _broken_varargs(monkeypatch)
+    ledger = obs.enable_ledger()
+    try:
+        with pytest.raises(SymbolizeError) as err:
+            wytiwyg_lift(traces)
+    finally:
+        obs.disable_ledger()
+    assert "varargs refinement" in str(err.value)
+    # Folded checks stop at the first divergence in traced order.
+    assert "traced input #0 [4]" in str(err.value)
+    assert _verdicts(ledger, "failed") == [("varargs refinement",
+                                            "regsave")]
+
+
+def test_bounds_run_catches_broken_register_classification(monkeypatch):
+    _image, traces = _traced()
+    real = driver.apply_register_classification
+
+    def broken(module, classification):
+        real(module, classification)
+        _break_exit(module)
+    monkeypatch.setattr(driver, "apply_register_classification", broken)
+    ledger = obs.enable_ledger()
+    try:
+        with pytest.raises(SymbolizeError) as err:
+            wytiwyg_lift(traces)
+    finally:
+        obs.disable_ledger()
+    assert "register refinement" in str(err.value)
+    assert "traced input #0" in str(err.value)
+    assert _verdicts(ledger, "ok") == [("varargs refinement", "regsave")]
+    assert _verdicts(ledger, "failed") == [("register refinement",
+                                            "bounds")]
+
+
+def _regsave_run(engine, module):
+    with engine.carrier("regsave") as run:
+        classify_registers(module, engine.replay_inputs("regsave"),
+                           run=run)
+
+
+def _bounds_run(engine, module):
+    engine.run_instrumented(module)
+
+
+@pytest.mark.parametrize("carry", [_regsave_run, _bounds_run])
+def test_folded_run_interpreter_error_is_symbolize_error(carry):
+    _image, traces = _traced()
+    module = lift_traces(traces)
+    _crash_exit(module)
+    engine = ReplayEngine(traces)
+    rec = obs.enable(reset=True)
+    try:
+        assert engine.defer(module, "crashing stage") == "folded"
+        with pytest.raises(SymbolizeError) as err:
+            carry(engine, module)
+        counters = rec.registry.counters
+        assert counters.get("validate.interpreter_errors") == 1
+        assert counters.get("replay.validations_folded") is None
+    finally:
+        obs.disable()
+    assert "crashing stage" in str(err.value)
+    assert "traced input #0" in str(err.value)
+    assert len(engine.notes) == 1
+    assert engine.notes[0].startswith(
+        "validate[crashing stage]: interpreter error on input #0: ")
+
+
+def test_carrier_without_deferred_stage_only_runs():
+    _image, traces = _traced()
+    module = lift_traces(traces)
+    _break_exit(module)
+    engine = ReplayEngine(traces)
+    # Nothing deferred: the run observes, it does not judge.
+    _bounds_run(engine, module)
+    # A deferred check is consumed by exactly one carrier run.
+    engine.defer(module, "broken stage")
+    with pytest.raises(SymbolizeError):
+        _bounds_run(engine, module)
+    _bounds_run(engine, module)
+
+
+def test_recompile_falls_back_on_folded_failure(monkeypatch):
+    image = cached_image(PREFIX_SOURCE)
+    traces = trace_binary(image.stripped(), [[4]])
+    _broken_varargs(monkeypatch)
+    result = wytiwyg_recompile(image, [[4]], traces=traces)
+    assert result.fallback
+    assert result.layouts == {}
+    assert result.notes[0].startswith(
+        "fallback to unsymbolized pipeline: varargs refinement broke "
+        "functionality: traced input #0")
+
+
+@pytest.mark.parametrize("source, runs", [
+    # printf: varargs, regsave, bounds, validate.
+    ((EXAMPLES / "quickstart.c").read_text(), 4),
+    # No variadic call sites: the varargs stage replays nothing.
+    (EXIT_SOURCE, 3),
+], ids=["printf", "no-printf"])
+def test_lifted_ir_runs_per_distinct_input(source, runs):
+    inputs = [[5, 1], [9, 2], [5, 1]]
+    image = cached_image(source)
+    traces = trace_binary(image.stripped(), inputs)
+    rec = obs.enable(reset=True)
+    try:
+        result = wytiwyg_recompile(image, inputs, traces=traces,
+                                   allow_fallback=False)
+        counters = dict(rec.registry.counters)
+    finally:
+        obs.disable()
+    assert not result.fallback
+    assert counters["ir.runs"] == runs * 2
+    assert counters["replay.deduped"] == 1
+    assert counters["replay.validations_folded"] == 2
+
+
+def test_baseline_keeps_standalone_sweeps(monkeypatch):
+    monkeypatch.setenv("REPRO_REPLAY_BASELINE", "1")
+    _image, traces = _traced(inputs=[[5, 1], [6, 2]])
+    rec = obs.enable(reset=True)
+    ledger = obs.enable_ledger()
+    try:
+        wytiwyg_lift(traces)
+        counters = dict(rec.registry.counters)
+    finally:
+        obs.disable_ledger()
+        obs.disable()
+    assert counters.get("replay.validations_folded") is None
+    assert _verdicts(ledger, "ok") == [
+        ("varargs refinement", None), ("register refinement", None),
+        ("stack symbolization", None)]
+
+
+# -- probes are invisible to the program --------------------------------------
+
+
+@pytest.mark.parametrize("example, inputs", [
+    ("quickstart", [[5], [9]]),
+    ("escape", [[3], [8]]),
+    ("undertrace", [[3], [9]]),
+])
+def test_bounds_probes_write_no_memory_and_set_no_value(
+        monkeypatch, example, inputs):
+    """The bounds runs validate the register refinement only because
+    probes cannot change what the program computes: the tracing runtime
+    never writes memory and an intrinsic never defines a value."""
+    image = cached_image((EXAMPLES / f"{example}.c").read_text())
+    traces = trace_binary(image.stripped(), inputs)
+    inside = []
+    handled = []
+    writes = []
+    real_handle = TracingRuntime.handle
+
+    def handle(self, frame, instr, args):
+        inside.append(instr)
+        try:
+            real_handle(self, frame, instr, args)
+        finally:
+            inside.pop()
+        handled.append(instr)
+        assert instr not in frame.values, instr
+
+    def spy(name):
+        real = getattr(Memory, name)
+
+        def wrapped(self, *args):
+            if inside:
+                writes.append((name, inside[-1], args))
+            return real(self, *args)
+        monkeypatch.setattr(Memory, name, wrapped)
+
+    spy("write")
+    spy("write_bytes")
+    monkeypatch.setattr(TracingRuntime, "handle", handle)
+    wytiwyg_lift(traces)
+    assert handled, "no probe executed"
+    assert writes == []
 
 
 # -- byte-identity -----------------------------------------------------------

@@ -16,8 +16,8 @@
 #
 # The replay benches run as a third pass and emit BENCH_replay.json:
 # refinement wall time of the optimized serial replay engine (dedup +
-# fingerprint-skipped validation) against the pre-engine baseline
-# sweep, plus the validation-skip hit rate.
+# validation folded into the regsave and bounds runs) against the
+# pre-engine baseline sweep, plus the number of folded validations.
 #
 # The service benches run as a fourth pass and emit BENCH_serve.json:
 # a replayed campaign against the warm artifact store vs N cold
